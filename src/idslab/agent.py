@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, nn
+from . import dataset as ds, metrics, nn
 
 __all__ = [
     "PolicyNet",
@@ -29,6 +29,8 @@ __all__ = [
 _LOGP_FLOOR = 1e-12  # probability clamp for logs; float64 keeps this benign
 
 TRUNK_SIZES = (128, 64, 32)
+TRUNK_ACTIVATIONS = ("relu", "sigmoid")
+_NET_NAMES = ("trunk", "policy", "value")  # checkpoint names, in nets() order
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,19 @@ class PpoConfig:
             raise ValueError("gae_lambda must be in [0, 1]")
         if self.clip_epsilon <= 0.0:
             raise ValueError("clip_epsilon must be positive")
+        for name in ("rollout_length", "minibatch", "update_epochs", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.total_timesteps < 0:
+            raise ValueError("total_timesteps must be >= 0")
 
 
 class PolicyNet:
     """Shared trunk, softmax policy head, linear value head."""
 
     def __init__(self, obs_dim, action_count, trunk_activation="relu", seed=0):
-        if trunk_activation not in ("relu", "sigmoid"):
+        if trunk_activation not in TRUNK_ACTIVATIONS:
             raise ValueError("trunk activation must be relu or sigmoid")
-        self.action_count = action_count
         self.trunk = nn.init_net(
             [obs_dim, *TRUNK_SIZES], [trunk_activation] * 3, seed=seed
         )
@@ -73,16 +79,12 @@ class PolicyNet:
     def obs_dim(self):
         return self.trunk.in_dim
 
+    @property
+    def action_count(self):
+        return self.policy_head.out_dim
+
     def nets(self):
         return [self.trunk, self.policy_head, self.value_head]
-
-    def copy(self):
-        clone = object.__new__(PolicyNet)
-        clone.action_count = self.action_count
-        clone.trunk = self.trunk.copy()
-        clone.policy_head = self.policy_head.copy()
-        clone.value_head = self.value_head.copy()
-        return clone
 
     def forward(self, obs_batch):
         """Returns (probs, values, tapes) for a batch of observations."""
@@ -104,45 +106,13 @@ class PolicyNet:
         return action, logp, float(values[0])
 
     def save(self, path):
-        arrays = {}
-        for prefix, net in zip(("trunk", "policy", "value"), self.nets()):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{prefix}_w{i}"] = w
-                arrays[f"{prefix}_b{i}"] = b
-        import json
-
-        header = json.dumps(
-            {
-                "version": 1,
-                "action_count": self.action_count,
-                "activations": {
-                    "trunk": self.trunk.activations,
-                    "policy": self.policy_head.activations,
-                    "value": self.value_head.activations,
-                },
-            }
-        )
-        np.savez(path, header=np.frombuffer(header.encode(), dtype=np.uint8), **arrays)
+        nn.save_checkpoint(dict(zip(_NET_NAMES, self.nets())), path)
 
     @classmethod
     def load(cls, path):
-        import json
-
-        with np.load(path) as z:
-            header = json.loads(bytes(z["header"]).decode())
-            if header.get("version") != 1:
-                raise ValueError("unsupported policy checkpoint version")
-            policy = object.__new__(cls)
-            policy.action_count = header["action_count"]
-            for attr, prefix in (("trunk", "trunk"), ("policy_head", "policy"), ("value_head", "value")):
-                acts = header["activations"][prefix]
-                n = len(acts)
-                net = nn.DenseNet(
-                    weights=[z[f"{prefix}_w{i}"].copy() for i in range(n)],
-                    biases=[z[f"{prefix}_b{i}"].copy() for i in range(n)],
-                    activations=list(acts),
-                )
-                setattr(policy, attr, net)
+        nets, _ = nn.load_checkpoint(path)
+        policy = object.__new__(cls)
+        policy.trunk, policy.policy_head, policy.value_head = (nets[n] for n in _NET_NAMES)
         return policy
 
 
@@ -370,10 +340,5 @@ def evaluate(policy, encoded_data, mode):
         )
     probs = policy.action_probs(encoded_data.matrix)
     pred = np.argmax(probs, axis=1)
-    if mode == "binary":
-        truth = (encoded_data.labels != 0).astype(np.int64)
-        k = 2
-    else:
-        truth = encoded_data.labels
-        k = 5
+    truth, k = ds.task_labels(encoded_data.labels, mode)
     return metrics.confusion(pred, truth, k)

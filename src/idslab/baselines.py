@@ -35,18 +35,6 @@ class Classifier:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-def _one_hot(y, k):
-    out = np.zeros((y.size, k))
-    out[np.arange(y.size), y] = 1.0
-    return out
-
-
-def _softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def train_logreg(X, y, n_classes=None, l2=1e-4, epochs=300, lr=1e-2, seed=0):
     """L2-regularized softmax regression, full-batch Adam."""
     X = np.asarray(X, dtype=np.float64)
@@ -57,16 +45,16 @@ def train_logreg(X, y, n_classes=None, l2=1e-4, epochs=300, lr=1e-2, seed=0):
     n, d = X.shape
     net = nn.init_net([d, k], ["linear"], seed=seed)
     opt = nn.OptState.for_net(net, "adam", lr)
-    Y = _one_hot(y, k)
+    Y = nn.one_hot(y, k)
     for _ in range(epochs):
         logits = X @ net.weights[0] + net.biases[0]
-        probs = _softmax(logits)
+        probs = nn.softmax(logits)
         dlogits = (probs - Y) / n
         grads = [(X.T @ dlogits + l2 * net.weights[0], dlogits.sum(axis=0))]
         nn.opt_step(net, grads, opt)
     W, b = net.weights[0].copy(), net.biases[0].copy()
     return Classifier(
-        kind="logreg", n_classes=k, _predict_proba=lambda A: _softmax(A @ W + b),
+        kind="logreg", n_classes=k, _predict_proba=lambda A: nn.softmax(A @ W + b),
         net=net,
     )
 
@@ -179,7 +167,7 @@ def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0)
             probs, tape = nn.forward(net, X[idx])
             # d(mean cross-entropy)/d(probs); softmax backward turns this
             # into (p - onehot)/m on the logits
-            target = _one_hot(y[idx], k)
+            target = nn.one_hot(y[idx], k)
             dprobs = -target / np.maximum(probs, 1e-12) / idx.size
             grads, _ = nn.backward(net, tape, dprobs)
             nn.opt_step(net, grads, opt)

@@ -122,23 +122,57 @@ def load_config(args):
     return config
 
 
+def _gan_config(config):
+    return gan.GanConfig(seed=config["seed"], **config["gan"])
+
+
+def _ppo_config(config):
+    """(PpoConfig, trunk activation) from the ppo section."""
+    ppo_cfg = dict(config["ppo"])
+    trunk_activation = ppo_cfg.pop("trunk_activation", "relu")
+    if trunk_activation not in agent.TRUNK_ACTIVATIONS:
+        raise ValueError(f"trunk_activation must be one of {agent.TRUNK_ACTIVATIONS}")
+    return agent.PpoConfig(seed=config["seed"], **ppo_cfg), trunk_activation
+
+
+def _env_config(config):
+    return ids_env.EnvConfig(mode=config["mode"], seed=config["seed"], **config["env"])
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(config):
     problems = []
+    unknown_keys = sorted(set(config) - set(DEFAULT_CONFIG))
+    if unknown_keys:
+        problems.append(f"unknown config keys: {unknown_keys}")
     if config["mode"] not in ("binary", "multiclass"):
         problems.append(f"mode must be binary or multiclass, got {config['mode']!r}")
     if config["source"] not in SOURCES:
         problems.append(f"source must be one of {SOURCES}, got {config['source']!r}")
-    if "seed" not in config or config["seed"] is None:
-        problems.append("seed is mandatory")
+    if not _is_int(config["seed"]):
+        problems.append("seed must be an integer")
     for key in ("train_path", "test_path"):
         if not config[key]:
             problems.append(f"{key} missing (set it or export IDSLAB_DATA_DIR)")
     for key in ("rows", "rows_per_class"):
-        if config[key] <= 0:
-            problems.append(f"{key} must be positive")
-    unknown = [b for b in config["baselines"] if b not in ("logreg", "tree", "mlp")]
-    if unknown:
+        if not _is_int(config[key]) or config[key] <= 0:
+            problems.append(f"{key} must be a positive integer")
+    if not _is_int(config["baseline_rows"]) or config["baseline_rows"] < 0:
+        problems.append("baseline_rows must be a non-negative integer")
+    if not isinstance(config["baselines"], list):
+        problems.append("baselines must be a list")
+    elif unknown := [b for b in config["baselines"] if b not in ("logreg", "tree", "mlp")]:
         problems.append(f"unknown baselines: {unknown}")
+    # build the stage configs exactly as the stages do, so a bad section
+    # fails here instead of after the stages before it have run
+    for section, build in (("gan", _gan_config), ("ppo", _ppo_config), ("env", _env_config)):
+        try:
+            build(config)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{section}: {exc}")
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -192,8 +226,7 @@ def stage_gan_train(config):
     out = _out(config)
     data = _load_encoded(config, "train")
     transformer = _load_transformer(config)
-    gan_config = gan.GanConfig(seed=config["seed"], **config["gan"])
-    model, history = gan.train_gan(data, transformer, gan_config)
+    model, history = gan.train_gan(data, transformer, _gan_config(config))
     model.save(out / "gan_model.npz")
     lines = ["step,critic_loss,generator_loss"]
     lines += [f"{s},{c:.6f},{g:.6f}" for s, c, g in history]
@@ -270,13 +303,8 @@ def stage_drl_train(config):
     out = _out(config)
     train_data = _training_set(config)
     test_data = _load_encoded(config, "test")
-    ppo_cfg = dict(config["ppo"])
-    trunk_activation = ppo_cfg.pop("trunk_activation", "relu")
-    ppo_config = agent.PpoConfig(seed=config["seed"], **ppo_cfg)
-    env_config = ids_env.EnvConfig(
-        mode=config["mode"], episode_cap=config["env"]["episode_cap"], seed=config["seed"]
-    )
-    environment = ids_env.IdsEnv(train_data, env_config)
+    ppo_config, trunk_activation = _ppo_config(config)
+    environment = ids_env.IdsEnv(train_data, _env_config(config))
     policy = agent.PolicyNet(
         environment.observation_dim,
         environment.action_count,
@@ -315,12 +343,8 @@ def stage_baselines(config):
     out = _out(config)
     train_data = _training_set(config)
     test_data = _load_encoded(config, "test")
-    if config["mode"] == "binary":
-        y_train = (train_data.labels != 0).astype(np.int64)
-        y_test = (test_data.labels != 0).astype(np.int64)
-        k = 2
-    else:
-        y_train, y_test, k = train_data.labels, test_data.labels, 5
+    y_train, k = ds.task_labels(train_data.labels, config["mode"])
+    y_test, _ = ds.task_labels(test_data.labels, config["mode"])
     X_train, y_train = _subsample(
         train_data.matrix, y_train, config["baseline_rows"], config["seed"]
     )

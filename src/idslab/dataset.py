@@ -33,7 +33,7 @@ __all__ = [
     "map_attack_to_class",
     "fit_transformer",
     "class_histogram",
-    "to_binary",
+    "task_labels",
 ]
 
 CONTINUOUS = "continuous"
@@ -261,9 +261,15 @@ def class_histogram(labels):
     return counts
 
 
-def to_binary(label):
-    """Collapse the 5-class label: Normal -> 0, any attack -> 1."""
-    return 0 if label.id == 0 else 1
+def task_labels(labels, mode):
+    """Class ids for a task and its class count.
+
+    Binary collapses Normal -> 0 and any attack -> 1 (k=2); multiclass keeps
+    the five class ids (k=5).
+    """
+    if mode == "binary":
+        return (labels != 0).astype(np.int64), 2
+    return labels, N_CLASSES
 
 
 @dataclass

@@ -8,7 +8,7 @@ mistake -1.  Episodes end at the step cap or on a missed attack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,13 +13,12 @@ clipped to +/-weight_clip after every critic step.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .dataset import ClassLabel, EncodedDataset, N_CLASSES, Transformer
+from .dataset import ClassLabel, N_CLASSES, Transformer
 
 __all__ = [
     "GanConfig",
@@ -49,6 +48,8 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.critic_steps < 1:
             raise ValueError("critic_steps must be >= 1")
         for name in ("batch_size", "noise_dim", "weight_clip", "learning_rate",
@@ -77,52 +78,25 @@ class GanModel:
         return groups
 
     def save(self, path):
-        arrays = {}
-        for prefix, net in (("gen", self.generator), ("crit", self.critic)):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{prefix}_w{i}"] = w
-                arrays[f"{prefix}_b{i}"] = b
-        header = json.dumps(
-            {
-                "version": 1,
-                "gen_activations": self.generator.activations,
-                "crit_activations": self.critic.activations,
-                "transformer": self.transformer.to_json(),
-                "class_distribution": self.class_distribution.tolist(),
-                "config": self.config.__dict__ | {"hidden": list(self.config.hidden)},
-            }
-        )
-        np.savez(path, header=np.frombuffer(header.encode(), dtype=np.uint8), **arrays)
+        meta = {
+            "transformer": self.transformer.to_json(),
+            "class_distribution": self.class_distribution.tolist(),
+            "config": self.config.__dict__ | {"hidden": list(self.config.hidden)},
+        }
+        nn.save_checkpoint({"generator": self.generator, "critic": self.critic}, path, meta)
 
     @classmethod
     def load(cls, path):
-        with np.load(path) as z:
-            header = json.loads(bytes(z["header"]).decode())
-            if header.get("version") != 1:
-                raise ValueError("unsupported GAN checkpoint version")
-            nets = {}
-            for prefix, acts_key in (("gen", "gen_activations"), ("crit", "crit_activations")):
-                acts = header[acts_key]
-                nets[prefix] = nn.DenseNet(
-                    weights=[z[f"{prefix}_w{i}"].copy() for i in range(len(acts))],
-                    biases=[z[f"{prefix}_b{i}"].copy() for i in range(len(acts))],
-                    activations=list(acts),
-                )
-        cfg = dict(header["config"])
+        nets, meta = nn.load_checkpoint(path)
+        cfg = dict(meta["config"])
         cfg["hidden"] = tuple(cfg["hidden"])
         return cls(
-            generator=nets["gen"],
-            critic=nets["crit"],
-            transformer=Transformer.from_json(header["transformer"]),
-            class_distribution=np.array(header["class_distribution"]),
+            generator=nets["generator"],
+            critic=nets["critic"],
+            transformer=Transformer.from_json(meta["transformer"]),
+            class_distribution=np.array(meta["class_distribution"]),
             config=GanConfig(**cfg),
         )
-
-
-def _one_hot(ids, k):
-    out = np.zeros((np.size(ids), k))
-    out[np.arange(np.size(ids)), ids] = 1.0
-    return out
 
 
 def _build_model(transformer, class_distribution, config):
@@ -164,14 +138,9 @@ def _output_transform(raw, model, rng=None, hard=False):
         logits = raw[:, sl]
         gumbel = -np.log(-np.log(rng.uniform(1e-12, 1.0, size=logits.shape)))
         if hard:
-            onehot = np.zeros_like(logits)
-            onehot[np.arange(logits.shape[0]), np.argmax(logits + gumbel, axis=1)] = 1.0
-            out[:, sl] = onehot
+            out[:, sl] = nn.one_hot(np.argmax(logits + gumbel, axis=1), logits.shape[1])
         else:
-            z = (logits + gumbel) / tau
-            z -= z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            out[:, sl] = e / e.sum(axis=1, keepdims=True)
+            out[:, sl] = nn.softmax((logits + gumbel) / tau)
     return out, (cont, groups, sig, out)
 
 
@@ -181,10 +150,7 @@ def _output_backward(grad_out, cache, tau):
     grad_raw = np.zeros_like(grad_out)
     grad_raw[:, cont] = grad_out[:, cont] * sig * (1.0 - sig)
     for sl in groups:
-        y = out[:, sl]
-        g = grad_out[:, sl]
-        inner = (g * y).sum(axis=1, keepdims=True)
-        grad_raw[:, sl] = y * (g - inner) / tau
+        grad_raw[:, sl] = nn.softmax_backward(out[:, sl], grad_out[:, sl]) / tau
     return grad_raw
 
 
@@ -218,7 +184,7 @@ def train_gan(data, transformer, config):
     class_rows = [np.flatnonzero(data.labels == c) for c in range(N_CLASSES)]
     class_distribution = np.bincount(data.labels, minlength=N_CLASSES) / len(data)
     model = _build_model(transformer, class_distribution, config)
-    real_full = np.concatenate([data.matrix, _one_hot(data.labels, N_CLASSES)], axis=1)
+    real_full = np.concatenate([data.matrix, nn.one_hot(data.labels, N_CLASSES)], axis=1)
 
     gen_opt = nn.OptState.for_net(model.generator, "rmsprop", config.learning_rate)
     crit_opt = nn.OptState.for_net(model.critic, "rmsprop", config.learning_rate)
@@ -230,7 +196,7 @@ def train_gan(data, transformer, config):
         for _ in range(steps_per_epoch):
             # training-by-sampling: one condition class per minibatch
             c = int(rng.integers(0, N_CLASSES))
-            cond = _one_hot(np.full(config.batch_size, c), N_CLASSES)
+            cond = nn.one_hot(np.full(config.batch_size, c), N_CLASSES)
             critic_loss = 0.0
             for _ in range(config.critic_steps):
                 idx = rng.choice(class_rows[c], size=config.batch_size, replace=True)
@@ -262,7 +228,7 @@ def train_gan(data, transformer, config):
 
 
 def _generate_hard(model, condition_ids, rng):
-    cond = _one_hot(condition_ids, N_CLASSES)
+    cond = nn.one_hot(condition_ids, N_CLASSES)
     noise = rng.standard_normal((cond.shape[0], model.config.noise_dim))
     raw, _ = nn.forward(model.generator, np.concatenate([noise, cond], axis=1))
     vec, _ = _output_transform(np.atleast_2d(raw), model, rng=rng, hard=True)

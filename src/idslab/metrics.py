@@ -23,7 +23,8 @@ __all__ = [
 
 
 class UndefinedMetricError(ValueError):
-    """Metric requested on an empty confusion matrix."""
+    """Metric or score undefined for its input (an empty confusion matrix,
+    a table without the required column kinds)."""
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,6 @@ class ConfusionMatrix:
     @property
     def total(self):
         return int(self.counts.sum())
-
-    def __add__(self, other):
-        return ConfusionMatrix(self.counts + other.counts)
 
 
 def confusion(pred, truth, k):

@@ -2,11 +2,13 @@
 
 Shared numeric kernel for the GAN, the PPO agent, and the MLP/logistic
 baselines.  Everything is float64 and deterministic per seed; a net is a
-plain value type that can be cloned and checkpointed bit-exactly.
+plain value type, and one checkpoint format stores any named set of nets
+bit-exactly.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +21,37 @@ __all__ = [
     "backward",
     "opt_step",
     "clip_global_norm",
+    "softmax",
+    "softmax_backward",
+    "one_hot",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
 ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "tanh", "linear", "softmax")
 LEAKY_SLOPE = 0.2
+CHECKPOINT_VERSION = 2
+
+
+def softmax(z):
+    """Softmax over the last axis, shifted by the row max for stability."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(out, grad):
+    """Gradient w.r.t. the logits of softmax output `out`: s * (g - <g, s>)."""
+    inner = (grad * out).sum(axis=-1, keepdims=True)
+    return out * (grad - inner)
+
+
+def one_hot(ids, k):
+    """Rows of k float slots with a 1 at each id."""
+    n = np.size(ids)
+    out = np.zeros((n, k))
+    out[np.arange(n), ids] = 1.0
+    return out
 
 
 def _act_forward(name, z):
@@ -39,9 +66,7 @@ def _act_forward(name, z):
     if name == "linear":
         return z
     if name == "softmax":
-        shifted = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        return softmax(z)
     raise ValueError(f"unknown activation: {name!r}")
 
 
@@ -58,9 +83,7 @@ def _act_backward(name, z, out, grad):
     if name == "linear":
         return grad
     if name == "softmax":
-        # full Jacobian product: s * (g - <g, s>)
-        inner = (grad * out).sum(axis=-1, keepdims=True)
-        return out * (grad - inner)
+        return softmax_backward(out, grad)
     raise ValueError(f"unknown activation: {name!r}")
 
 
@@ -81,25 +104,6 @@ class DenseNet:
     @property
     def out_dim(self):
         return self.weights[-1].shape[1]
-
-    @property
-    def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def copy(self):
-        return DenseNet(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activations=list(self.activations),
-        )
-
-    def params(self):
-        """Flattened view: alternating weight, bias arrays."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
 
 
 def init_net(layer_sizes, activations, seed):
@@ -221,19 +225,22 @@ def clip_global_norm(grad_lists, max_norm):
     return norm
 
 
-def save_checkpoint(net, path, meta=None):
-    """Versioned npz checkpoint; bit-exact round-trip."""
-    arrays = {}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    import json
+def save_checkpoint(nets, path, meta=None):
+    """Write named nets and a JSON-able meta block to one npz file.
 
+    Layer i of net `name` is stored as arrays `{name}_w{i}` / `{name}_b{i}`;
+    a uint8 JSON header holds the version, each net's activations and the
+    meta.  The round trip through load_checkpoint is bit-exact.
+    """
+    arrays = {}
+    for name, net in nets.items():
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            arrays[f"{name}_w{i}"] = w
+            arrays[f"{name}_b{i}"] = b
     header = json.dumps(
         {
-            "version": 1,
-            "n_layers": net.n_layers,
-            "activations": net.activations,
+            "version": CHECKPOINT_VERSION,
+            "nets": {name: net.activations for name, net in nets.items()},
             "meta": meta or {},
         }
     )
@@ -241,16 +248,17 @@ def save_checkpoint(net, path, meta=None):
 
 
 def load_checkpoint(path):
-    import json
-
+    """Read a save_checkpoint file; returns (nets by name, meta)."""
     with np.load(path) as z:
         header = json.loads(bytes(z["header"]).decode())
-        if header.get("version") != 1:
+        if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {header.get('version')}")
-        n = header["n_layers"]
-        net = DenseNet(
-            weights=[z[f"w{i}"].copy() for i in range(n)],
-            biases=[z[f"b{i}"].copy() for i in range(n)],
-            activations=list(header["activations"]),
-        )
-    return net, header.get("meta", {})
+        nets = {
+            name: DenseNet(
+                weights=[z[f"{name}_w{i}"].copy() for i in range(len(acts))],
+                biases=[z[f"{name}_b{i}"].copy() for i in range(len(acts))],
+                activations=list(acts),
+            )
+            for name, acts in header["nets"].items()
+        }
+    return nets, header["meta"]

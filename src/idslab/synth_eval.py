@@ -19,6 +19,7 @@ import numpy as np
 
 from . import dataset as ds
 from .baselines import train_logreg
+from .metrics import UndefinedMetricError
 
 __all__ = [
     "FidelityReport",
@@ -38,10 +39,6 @@ __all__ = [
 CATEGORICAL_COLUMNS = ("protocol_type", "service", "flag", "class")
 
 MIN_EXPECTED = 5.0  # chi-squared validity rule; rarer categories are pooled
-
-
-class UndefinedMetricError(ValueError):
-    """Score requested on a table without the required column kinds."""
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,19 @@ class TestGae:
         assert np.allclose(ret, adv + values, atol=1e-12)
 
 
+class TestPpoConfig:
+    @pytest.mark.parametrize(
+        "field", ["rollout_length", "minibatch", "update_epochs", "eval_every"]
+    )
+    def test_rejects_zero_counts(self, field):
+        with pytest.raises(ValueError, match=field):
+            agent.PpoConfig(**{field: 0})
+
+    def test_rejects_negative_timesteps(self):
+        with pytest.raises(ValueError, match="total_timesteps"):
+            agent.PpoConfig(total_timesteps=-1)
+
+
 class TestPolicyNet:
     def test_head_is_distribution(self):
         policy = agent.PolicyNet(6, 5, seed=0)

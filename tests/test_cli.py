@@ -50,6 +50,23 @@ class TestValidation:
     def test_missing_config_file(self, workdir):
         assert run(["preprocess", "--config", "nope.json"]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "ppo.rollout_length=0",  # would loop forever in drl-train
+            "ppo.minibatch=0",
+            "ppo.bogus=1",
+            "gan.bogus=1",
+            "gan.epochs=-1",  # would write an untrained model
+            "rows=abc",
+            "bogus=1",
+            "baselines=5",
+        ],
+    )
+    def test_bad_value_fails_before_any_stage(self, workdir, override):
+        assert run(["preprocess", "--set", override]) == cli.EXIT_VALIDATION
+        assert not (workdir / "runs").exists()
+
 
 class TestDependencies:
     def test_gan_train_needs_preprocess(self, workdir):

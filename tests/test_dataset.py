@@ -236,9 +236,15 @@ class TestHistogramAndBinary:
         assert np.array_equal(ds.class_histogram([]), np.zeros(5, dtype=np.int64))
 
     def test_to_binary(self):
-        assert ds.to_binary(ds.ClassLabel(0)) == 0
-        for cid in range(1, 5):
-            assert ds.to_binary(ds.ClassLabel(cid)) == 1
+        y, k = ds.task_labels(np.arange(5), "binary")
+        assert k == 2
+        assert y.tolist() == [0, 1, 1, 1, 1]
+
+    def test_multiclass_labels_kept(self):
+        labels = np.array([4, 0, 2, 1, 3])
+        y, k = ds.task_labels(labels, "multiclass")
+        assert k == 5
+        assert y.tolist() == labels.tolist()
 
 
 class TestEncodedDataset:

@@ -48,6 +48,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             gan.GanConfig(gumbel_temperature=-1.0)
 
+    def test_rejects_negative_epochs(self):
+        with pytest.raises(ValueError, match="epochs"):
+            gan.GanConfig(epochs=-1)
+
+
+class TestCheckpoint:
+    def test_save_load_roundtrip(self, tmp_path):
+        model, _, _ = surrogate_model(epochs=1)
+        path = tmp_path / "gan_model.npz"
+        model.save(path)
+        back = gan.GanModel.load(path)
+        for net, net_back in ((model.generator, back.generator), (model.critic, back.critic)):
+            assert net_back.activations == net.activations
+            for a, b in zip(net.weights + net.biases, net_back.weights + net_back.biases):
+                assert np.array_equal(a, b)
+        assert back.transformer.to_json() == model.transformer.to_json()
+        assert np.array_equal(back.class_distribution, model.class_distribution)
+        assert back.config == model.config
+        rows = gan.sample_unconditional(model, 40, seed=3)
+        rows_back = gan.sample_unconditional(back, 40, seed=3)
+        assert [(r.values, l.id) for r, l in rows] == [(r.values, l.id) for r, l in rows_back]
+
 
 class TestTrain:
     def test_zero_epochs_empty_history(self):

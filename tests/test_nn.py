@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -200,9 +202,23 @@ class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
         net = nn.init_net([6, 5, 3], ["leaky_relu", "softmax"], seed=11)
         path = tmp_path / "net.npz"
-        nn.save_checkpoint(net, path, meta={"purpose": "test"})
-        back, meta = nn.load_checkpoint(path)
+        nn.save_checkpoint({"net": net}, path, meta={"purpose": "test"})
+        nets, meta = nn.load_checkpoint(path)
+        back = nets["net"]
         assert meta == {"purpose": "test"}
         assert back.activations == net.activations
         for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             assert np.array_equal(a, b)
+
+    def test_version_one_rejected(self, tmp_path):
+        # the single-net layout written before named nets: w{i}/b{i} arrays
+        header = json.dumps({"version": 1, "n_layers": 1, "activations": ["linear"], "meta": {}})
+        path = tmp_path / "old.npz"
+        np.savez(
+            path,
+            header=np.frombuffer(header.encode(), dtype=np.uint8),
+            w0=np.zeros((2, 1)),
+            b0=np.zeros(1),
+        )
+        with pytest.raises(ValueError, match="version: 1"):
+            nn.load_checkpoint(path)
