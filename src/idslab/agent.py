@@ -1,13 +1,20 @@
 """PPO trainer over a 128/64/32 actor-critic and deterministic evaluation.
 
 The policy is a shared trunk with a softmax action head and a linear value
-head.  Updates use the clipped-ratio surrogate with generalized advantage
-estimation; evaluation replays the test set once, argmax action per record,
-no episode mechanics.
+head.  Because the environment is a contextual bandit, a rollout is a few
+array operations instead of a loop over steps: one draw of T + 1 record
+indices (the last is the bootstrap state), one batched forward, one
+inverse-CDF action draw (`sample_actions`, also behind `PolicyNet.act`),
+and one lookup of rewards and dones in the environment's reward table.
+Updates use the clipped-ratio surrogate with generalized advantage
+estimation and log per-update diagnostics, approximate KL and explained
+variance included; a non-finite loss stops training.  Evaluation replays
+the test set once, argmax action per record, no episode mechanics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +27,8 @@ __all__ = [
     "RolloutBuffer",
     "TrainLog",
     "compute_gae",
+    "explained_variance",
+    "sample_actions",
     "ppo_loss_and_grads",
     "ppo_update",
     "train",
@@ -31,6 +40,15 @@ _LOGP_FLOOR = 1e-12  # probability clamp for logs; float64 keeps this benign
 TRUNK_SIZES = (128, 64, 32)
 TRUNK_ACTIVATIONS = ("relu", "sigmoid")
 _NET_NAMES = ("trunk", "policy", "value")  # checkpoint names, in nets() order
+UPDATE_STATS = (
+    "loss",
+    "policy_loss",
+    "value_loss",
+    "entropy",
+    "clip_fraction",
+    "approx_kl",
+    "explained_variance",
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,7 @@ class PpoConfig:
     max_grad_norm: float = 0.5
     total_timesteps: int = 100_000
     eval_every: int = 10_000
+    trunk_activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self):
@@ -54,13 +73,16 @@ class PpoConfig:
             raise ValueError("gamma must be in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("gae_lambda must be in [0, 1]")
-        if self.clip_epsilon <= 0.0:
-            raise ValueError("clip_epsilon must be positive")
+        for name in ("clip_epsilon", "learning_rate", "max_grad_norm"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         for name in ("rollout_length", "minibatch", "update_epochs", "eval_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.total_timesteps < 0:
             raise ValueError("total_timesteps must be >= 0")
+        if self.trunk_activation not in TRUNK_ACTIVATIONS:
+            raise ValueError(f"trunk_activation must be one of {TRUNK_ACTIVATIONS}")
 
 
 class PolicyNet:
@@ -100,10 +122,8 @@ class PolicyNet:
     def act(self, obs, rng):
         """Sample one action; returns (action, log_prob, value)."""
         probs, values, _ = self.forward(obs)
-        p = probs[0]
-        action = int(rng.choice(self.action_count, p=p / p.sum()))
-        logp = float(np.log(max(p[action], _LOGP_FLOOR)))
-        return action, logp, float(values[0])
+        actions, log_probs = sample_actions(probs, rng)
+        return int(actions[0]), float(log_probs[0]), float(values[0])
 
     def save(self, path):
         nn.save_checkpoint(dict(zip(_NET_NAMES, self.nets())), path)
@@ -114,6 +134,21 @@ class PolicyNet:
         policy = object.__new__(cls)
         policy.trunk, policy.policy_head, policy.value_head = (nets[n] for n in _NET_NAMES)
         return policy
+
+
+def sample_actions(probs, rng):
+    """One action per row of probs by inverse CDF; returns (actions, log_probs).
+
+    Action a is drawn when u * total falls in [cdf[a-1], cdf[a]), an empty
+    interval for a zero-probability action.  u < 1 keeps the rounded
+    product below the row total, so no draw lands past the last nonzero
+    probability.
+    """
+    cdf = np.cumsum(probs, axis=1)
+    u = rng.random(len(probs)) * cdf[:, -1]
+    actions = (cdf[:, :-1] <= u[:, None]).sum(axis=1)
+    chosen = probs[np.arange(len(probs)), actions]
+    return actions, np.log(np.maximum(chosen, _LOGP_FLOOR))
 
 
 @dataclass
@@ -203,12 +238,25 @@ def ppo_loss_and_grads(policy, batch, config):
         "value_loss": value_loss,
         "entropy": entropy_mean,
         "clip_fraction": float((~use_unclipped).mean()),
+        "approx_kl": float((old_logp - logp).mean()),
     }
     return loss, (trunk_grads, policy_grads, value_grads), stats
 
 
+def explained_variance(values, returns):
+    """1 - Var(returns - values) / Var(returns); 0 when the returns are constant."""
+    var = returns.var()
+    return float(1.0 - (returns - values).var() / var) if var > 0 else 0.0
+
+
 def ppo_update(policy, buffer, config, optimizers=None, rng=None):
-    """update_epochs passes of shuffled minibatch updates; returns stats."""
+    """update_epochs passes of shuffled minibatch updates; returns stats.
+
+    The stats are the minibatch means of the loss terms, clip fraction and
+    approximate KL, plus the explained variance of the rollout's values.
+    Raises FloatingPointError on the first non-finite minibatch loss,
+    before any optimizer step applies it.
+    """
     if optimizers is None:
         optimizers = make_optimizers(policy, config)
     rng = rng if rng is not None else np.random.default_rng(config.seed)
@@ -217,7 +265,7 @@ def ppo_update(policy, buffer, config, optimizers=None, rng=None):
     norm_adv = (adv - adv.mean()) / (std + 1e-8)
     T = len(buffer)
     all_stats = []
-    for _ in range(config.update_epochs):
+    for epoch in range(config.update_epochs):
         order = rng.permutation(T)
         for start in range(0, T, config.minibatch):
             idx = order[start : start + config.minibatch]
@@ -228,15 +276,23 @@ def ppo_update(policy, buffer, config, optimizers=None, rng=None):
                 "advantages": norm_adv[idx],
                 "returns": buffer.returns[idx],
             }
-            _, grads, stats = ppo_loss_and_grads(policy, batch, config)
+            loss, grads, stats = ppo_loss_and_grads(policy, batch, config)
+            if not math.isfinite(loss):
+                raise FloatingPointError(
+                    f"drl-train: non-finite PPO loss ({loss}) in update epoch {epoch}, "
+                    f"minibatch {start // config.minibatch}"
+                )
             nn.clip_global_norm(grads, config.max_grad_norm)
             for net, g, opt in zip(policy.nets(), grads, optimizers):
                 nn.opt_step(net, g, opt)
             all_stats.append(stats)
-    return {
+    means = {
         key: float(np.mean([s[key] for s in all_stats])) if all_stats else 0.0
-        for key in ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction")
+        for key in UPDATE_STATS
+        if key != "explained_variance"  # a rollout-level value, set below
     }
+    means["explained_variance"] = explained_variance(buffer.values, buffer.returns)
+    return means
 
 
 def make_optimizers(policy, config):
@@ -245,9 +301,14 @@ def make_optimizers(policy, config):
 
 @dataclass
 class TrainLog:
-    """Evaluation curve rows: (timestep, accuracy, f1_macro, f1_weighted, per-class f1)."""
+    """Evaluation and update rows of one training run.
+
+    rows: (timestep, accuracy, f1_macro, f1_weighted, per-class f1);
+    updates: (timestep, ppo_update stats), one per PPO update.
+    """
 
     rows: list = field(default_factory=list)
+    updates: list = field(default_factory=list)
 
     def append(self, timestep, cm):
         per_class = [metrics.per_class_prf(cm, c).f1 for c in range(cm.k)]
@@ -272,55 +333,48 @@ class TrainLog:
             )
         return "\n".join(lines) + "\n"
 
+    def updates_csv(self):
+        lines = ["timestep," + ",".join(UPDATE_STATS)]
+        for timestep, stats in self.updates:
+            lines.append(",".join([str(timestep)] + [f"{stats[k]:.6f}" for k in UPDATE_STATS]))
+        return "\n".join(lines) + "\n"
 
-def _collect_rollout(env_, policy, config, rng, carry_obs):
+
+def _collect_rollout(env_, policy, config, rng):
+    """One rollout of rollout_length steps as a few whole-array operations."""
     T = config.rollout_length
-    obs_dim = env_.observation_dim
-    states = np.empty((T, obs_dim))
-    actions = np.empty(T, dtype=np.int64)
-    log_probs = np.empty(T)
-    rewards = np.empty(T)
-    dones = np.empty(T, dtype=bool)
-    values = np.empty(T)
-    obs = carry_obs if carry_obs is not None else env_.reset()
-    for t in range(T):
-        action, logp, value = policy.act(obs, rng)
-        result = env_.step(action)
-        states[t] = obs
-        actions[t] = action
-        log_probs[t] = logp
-        rewards[t] = result.reward
-        dones[t] = result.done
-        values[t] = value
-        obs = env_.reset() if result.done else result.next_state
-    _, next_values, _ = policy.forward(obs)
-    return (
-        RolloutBuffer(
-            states=states,
-            actions=actions,
-            log_probs=log_probs,
-            rewards=rewards,
-            dones=dones,
-            values=values,
-            next_value=float(next_values[0]),
-        ),
-        obs,
+    indices = env_.draw(T + 1)  # the last record is the bootstrap state
+    states = env_.data.matrix[indices]
+    probs, values, _ = policy.forward(states)
+    actions, log_probs = sample_actions(probs[:T], rng)
+    rewards, dones = env_.score(indices[:T], actions)
+    return RolloutBuffer(
+        states=states[:T],
+        actions=actions,
+        log_probs=log_probs,
+        rewards=rewards.astype(np.float64),
+        dones=dones,
+        values=values[:T],
+        next_value=float(values[T]),
     )
 
 
 def train(env_, policy, config, eval_data=None):
-    """Alternate rollouts and PPO updates; returns the evaluation TrainLog."""
+    """Alternate rollouts and PPO updates; returns the TrainLog.
+
+    Evaluation rows need eval_data; update rows are logged either way.
+    """
     log = TrainLog()
     optimizers = make_optimizers(policy, config)
     rng = np.random.default_rng(config.seed)
     timesteps = 0
     next_eval = config.eval_every
-    carry_obs = None
     while timesteps < config.total_timesteps:
-        buffer, carry_obs = _collect_rollout(env_, policy, config, rng, carry_obs)
+        buffer = _collect_rollout(env_, policy, config, rng)
         compute_gae(buffer, config.gamma, config.gae_lambda)
-        ppo_update(policy, buffer, config, optimizers=optimizers, rng=rng)
+        stats = ppo_update(policy, buffer, config, optimizers=optimizers, rng=rng)
         timesteps += len(buffer)
+        log.updates.append((timesteps, stats))
         if eval_data is not None and timesteps >= next_eval:
             cm = evaluate(policy, eval_data, env_.config.mode)
             log.append(timesteps, cm)

@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -122,25 +124,43 @@ def load_config(args):
     return config
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _has_type(value, kind):
+    """Whether a JSON value fits a dataclass field annotated `kind`."""
+    if kind is int:
+        return _is_int(value)
+    if kind is float:
+        return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    if kind is tuple:
+        return isinstance(value, (list, tuple))  # JSON has lists only
+    return isinstance(value, kind)
+
+
+def _build(cls, section, **fixed):
+    """cls(**section, **fixed) once every section value has its field's type."""
+    if not isinstance(section, dict):
+        raise TypeError(f"section must be an object, got {section!r}")
+    types = typing.get_type_hints(cls)
+    for key, value in section.items():
+        if key in types and not _has_type(value, types[key]):
+            name = "list" if types[key] is tuple else types[key].__name__
+            raise TypeError(f"{key} must be {name}, got {value!r}")
+    return cls(**section, **fixed)
+
+
 def _gan_config(config):
-    return gan.GanConfig(seed=config["seed"], **config["gan"])
+    return _build(gan.GanConfig, config["gan"], seed=config["seed"])
 
 
 def _ppo_config(config):
-    """(PpoConfig, trunk activation) from the ppo section."""
-    ppo_cfg = dict(config["ppo"])
-    trunk_activation = ppo_cfg.pop("trunk_activation", "relu")
-    if trunk_activation not in agent.TRUNK_ACTIVATIONS:
-        raise ValueError(f"trunk_activation must be one of {agent.TRUNK_ACTIVATIONS}")
-    return agent.PpoConfig(seed=config["seed"], **ppo_cfg), trunk_activation
+    return _build(agent.PpoConfig, config["ppo"], seed=config["seed"])
 
 
 def _env_config(config):
-    return ids_env.EnvConfig(mode=config["mode"], seed=config["seed"], **config["env"])
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+    return _build(ids_env.EnvConfig, config["env"], mode=config["mode"], seed=config["seed"])
 
 
 def validate_config(config):
@@ -303,12 +323,12 @@ def stage_drl_train(config):
     out = _out(config)
     train_data = _training_set(config)
     test_data = _load_encoded(config, "test")
-    ppo_config, trunk_activation = _ppo_config(config)
+    ppo_config = _ppo_config(config)
     environment = ids_env.IdsEnv(train_data, _env_config(config))
     policy = agent.PolicyNet(
         environment.observation_dim,
         environment.action_count,
-        trunk_activation=trunk_activation,
+        trunk_activation=ppo_config.trunk_activation,
         seed=config["seed"],
     )
     log = agent.train(environment, policy, ppo_config, eval_data=test_data)
@@ -316,6 +336,7 @@ def stage_drl_train(config):
     curves = out / "curves"
     curves.mkdir(exist_ok=True)
     (curves / f"{_tag(config)}.csv").write_text(log.to_csv(environment.action_count))
+    (curves / f"{_tag(config)}_updates.csv").write_text(log.updates_csv())
     print(f"drl-train: {ppo_config.total_timesteps} timesteps ({_tag(config)})")
 
 

@@ -13,6 +13,7 @@ clipped to +/-weight_clip after every critic step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class GanConfig:
                      "gumbel_temperature"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not all(type(h) is int and h > 0 for h in self.hidden):
+            raise ValueError("hidden must hold positive integer layer sizes")
 
 
 @dataclass
@@ -168,11 +171,20 @@ def _generate_soft(model, conditions, rng):
     return fake, tape, cache
 
 
+def _check_finite(net, loss, step):
+    if not math.isfinite(loss):
+        raise FloatingPointError(
+            f"gan-train: non-finite {net} loss ({loss}) at generator step {step}"
+        )
+
+
 def train_gan(data, transformer, config):
     """Train the conditional WGAN on an encoded dataset with labels.
 
     Returns (model, loss_history); history rows are
-    (generator_step, critic_loss, generator_loss).
+    (generator_step, critic_loss, generator_loss).  Raises
+    FloatingPointError on the first non-finite loss, before any optimizer
+    step applies it.
     """
     if len(data) == 0:
         raise ValueError("empty training data")
@@ -207,6 +219,7 @@ def train_gan(data, transformer, config):
                 score_real, tape_r = nn.forward(model.critic, np.concatenate([real, cond], axis=1))
                 # minimize mean(fake) - mean(real)
                 critic_loss = float(score_fake.mean() - score_real.mean())
+                _check_finite("critic", critic_loss, step)
                 grads_f, _ = nn.backward(model.critic, tape_f, np.full((m, 1), 1.0 / m))
                 grads_r, _ = nn.backward(model.critic, tape_r, np.full((m, 1), -1.0 / m))
                 grads = [(gf[0] + gr[0], gf[1] + gr[1]) for gf, gr in zip(grads_f, grads_r)]
@@ -217,6 +230,7 @@ def train_gan(data, transformer, config):
             m = config.batch_size
             score, tape = nn.forward(model.critic, np.concatenate([fake, cond], axis=1))
             gen_loss = float(-score.mean())
+            _check_finite("generator", gen_loss, step)
             _, grad_in = nn.backward(model.critic, tape, np.full((m, 1), -1.0 / m))
             grad_fake = grad_in[:, : model.record_dim]  # condition slots carry no gradient
             grad_raw = _output_backward(grad_fake, cache, config.gumbel_temperature)

@@ -6,16 +6,11 @@ SKIP line and skip when no data directory is found (export IDSLAB_DATA_DIR
 pointing at KDDTrain+.txt / KDDTest+.txt to enable them).
 """
 
-import copy
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from idslab import (
     agent,
-    baselines,
     cli,
     dataset as ds,
     env as ids_env,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idslab import agent, dataset as ds, env as ids_env, nn
+from idslab import agent, dataset as ds, env as ids_env
 
 from conftest import make_surrogate_records
 
@@ -201,6 +201,54 @@ class TestPpoLoss:
             assert action in (0, 1)
 
 
+class _FixedUniform:
+    """Stands in for a Generator whose random() always returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+class TestSampleActions:
+    def test_never_draws_zero_probability(self):
+        rng = np.random.default_rng(12)
+        n, k = 4000, 5
+        probs = rng.random((n, k)) * (rng.random((n, k)) < 0.5)
+        probs[np.arange(n), rng.integers(0, k, n)] += 0.1  # every row has mass
+        probs[:2] = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
+        probs /= probs.sum(axis=1, keepdims=True)
+        actions, log_probs = agent.sample_actions(probs, rng)
+        assert actions.shape == (n,)
+        assert (probs[np.arange(n), actions] > 0).all()
+        assert np.allclose(log_probs, np.log(probs[np.arange(n), actions]))
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_extreme_uniforms_stay_on_support(self, u):
+        probs = np.array([[0.3, 0.7, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4], [0.0, 1.0, 0.0, 0.0]])
+        actions, log_probs = agent.sample_actions(probs, _FixedUniform(u))
+        assert ((actions >= 0) & (actions < 4)).all()
+        assert (probs[np.arange(3), actions] > 0).all()
+        assert np.isfinite(log_probs).all()
+
+    def test_frequencies_chi_square(self):
+        p = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+        n = 20_000
+        actions, _ = agent.sample_actions(np.tile(p, (n, 1)), np.random.default_rng(13))
+        counts = np.bincount(actions, minlength=p.size)
+        stat = float(((counts - n * p) ** 2 / (n * p)).sum())
+        assert stat < 33.38  # chi-square, 4 degrees of freedom, upper tail 1e-6
+
+    def test_act_returns_one_sample(self):
+        policy = agent.PolicyNet(4, 3, seed=14)
+        action, logp, value = policy.act(np.zeros(4), np.random.default_rng(15))
+        probs, values, _ = policy.forward(np.zeros(4))
+        assert action in (0, 1, 2)
+        assert logp == pytest.approx(np.log(probs[0, action]))
+        assert value == pytest.approx(values[0])
+
+
 def toy_env(mode="binary", n=800, seed=0, episode_cap=1000):
     records, labels = make_surrogate_records(n, seed=seed)
     t = ds.fit_transformer(records)
@@ -260,6 +308,54 @@ class TestTrain:
         from idslab import metrics
 
         assert metrics.accuracy(cm) >= 0.95
+
+
+class TestDiagnostics:
+    def test_update_stats(self):
+        env, data, _ = toy_env(seed=4)
+        policy = agent.PolicyNet(env.observation_dim, 2, seed=4)
+        cfg = agent.PpoConfig(total_timesteps=512, rollout_length=256, eval_every=512, seed=4)
+        log = agent.train(env, policy, cfg)
+        assert [t for t, _ in log.updates] == [256, 512]
+        for _, stats in log.updates:
+            assert sorted(stats) == sorted(agent.UPDATE_STATS)
+            assert all(np.isfinite(v) for v in stats.values())
+            assert stats["explained_variance"] <= 1.0
+        lines = log.updates_csv().splitlines()
+        assert lines[0] == (
+            "timestep,loss,policy_loss,value_loss,entropy,clip_fraction,approx_kl,"
+            "explained_variance"
+        )
+        assert len(lines) == 3 and lines[1].startswith("256,")
+
+    def test_explained_variance(self):
+        returns = np.array([1.0, 2.0, 3.0, 4.0])
+        assert agent.explained_variance(returns, returns) == 1.0
+        assert agent.explained_variance(np.zeros(4), returns) == 0.0
+        assert agent.explained_variance(np.zeros(4), np.ones(4)) == 0.0  # Var(returns) = 0
+
+    def test_approx_kl_zero_at_old_policy(self):
+        policy = agent.PolicyNet(5, 3, seed=16)
+        batch = frozen_batch(policy, seed=17)
+        probs, _, _ = policy.forward(batch["states"])
+        batch["log_probs"] = np.log(probs[np.arange(32), batch["actions"]])
+        _, _, stats = agent.ppo_loss_and_grads(policy, batch, agent.PpoConfig())
+        assert stats["approx_kl"] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestNonFinite:
+    def test_nan_weight_stops_update(self):
+        policy = agent.PolicyNet(4, 2, seed=18)
+        policy.trunk.weights[0][0, 0] = np.nan
+        value_weights = [w.copy() for w in policy.value_head.weights]
+        rng = np.random.default_rng(19)
+        buf = make_buffer(rng.normal(size=8), rng.normal(size=8), np.zeros(8))
+        buf.states = rng.normal(size=(8, 4))
+        agent.compute_gae(buf, 0.99, 0.95)
+        with pytest.raises(FloatingPointError, match=r"drl-train.*epoch 0, minibatch 0"):
+            agent.ppo_update(policy, buf, agent.PpoConfig(minibatch=4))
+        # the poisoned loss never reached an optimizer step
+        assert all(np.array_equal(a, b) for a, b in zip(value_weights, policy.value_head.weights))
 
 
 class TestEvaluate:

@@ -1,9 +1,9 @@
 import json
-from pathlib import Path
 
+import numpy as np
 import pytest
 
-from idslab import cli
+from idslab import cli, dataset as ds
 
 TINY = [
     "--set", "rows=60",
@@ -61,11 +61,20 @@ class TestValidation:
             "rows=abc",
             "bogus=1",
             "baselines=5",
+            "ppo.rollout_length=1.5",  # would reach rng.integers(size=...)
+            "env.episode_cap=2.5",
+            'gan.hidden="x"',
+            'gan.learning_rate="fast"',
+            "gan.hidden=[0]",
+            "ppo.learning_rate=-1.0",  # would train by gradient ascent
         ],
     )
     def test_bad_value_fails_before_any_stage(self, workdir, override):
         assert run(["preprocess", "--set", override]) == cli.EXIT_VALIDATION
         assert not (workdir / "runs").exists()
+
+    def test_list_accepted_for_tuple_field(self, workdir):
+        assert run(["preprocess", "--set", "gan.hidden=[32,32]"]) == cli.EXIT_OK
 
 
 class TestDependencies:
@@ -119,6 +128,26 @@ class TestStages:
         assert (out / "curves" / "binary_real.csv").exists()
         row = (out / "row_drl_binary_real.csv").read_text().strip()
         assert row.startswith("real,drl,")
+
+    def test_drl_train_writes_update_log(self, workdir):
+        assert run(["preprocess"]) == cli.EXIT_OK
+        assert run(["drl-train"] + TINY) == cli.EXIT_OK
+        lines = (workdir / "runs" / "default" / "curves" / "binary_real_updates.csv").read_text()
+        lines = lines.strip().splitlines()
+        assert lines[0] == (
+            "timestep,loss,policy_loss,value_loss,entropy,clip_fraction,approx_kl,"
+            "explained_variance"
+        )
+        assert [line.split(",")[0] for line in lines[1:]] == ["128", "256", "384", "512"]
+
+    def test_non_finite_loss_exits_runtime_without_checkpoint(self, workdir):
+        assert run(["preprocess"]) == cli.EXIT_OK
+        out = workdir / "runs" / "default"
+        train = ds.EncodedDataset.load(out / "train.npz")
+        train.matrix[:, 0] = np.nan
+        train.save(out / "train.npz")
+        assert run(["gan-train"] + TINY) == cli.EXIT_RUNTIME
+        assert not (out / "gan_model.npz").exists()
 
     def test_baselines_rows(self, workdir):
         assert run(["preprocess"]) == cli.EXIT_OK

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idslab import dataset as ds, env as ids_env
 
@@ -172,3 +173,94 @@ class TestEpisodes:
         env.reset()
         current = env._current
         assert env.step(1).info == int(data.labels[current])
+
+
+def step_replay(env, indices, actions):
+    """Dones of step() on the given records, resetting after each done."""
+    dones = []
+    for index, action in zip(indices, actions):
+        if env._done:
+            env.reset()
+        env._current = int(index)  # score this record instead of the drawn one
+        dones.append(env.step(int(action)).done)
+    return dones
+
+
+class TestVectorCore:
+    @pytest.mark.parametrize("mode", ["binary", "multiclass"])
+    def test_rewards_match_reward_cells(self, mode):
+        env, data = make_env(mode=mode, seed=8)
+        rng = np.random.default_rng(8)
+        indices = rng.integers(0, len(data), 500)
+        actions = rng.integers(0, env.action_count, 500)
+        rewards, _ = env.score(indices, actions)
+        expected = [ids_env.reward(int(data.labels[i]), int(a), mode) for i, a in zip(indices, actions)]
+        assert rewards.tolist() == expected
+
+    @pytest.mark.parametrize("mode", ["binary", "multiclass"])
+    @pytest.mark.parametrize("episode_cap", [1, 7, 1000])
+    def test_dones_match_step_replay(self, mode, episode_cap):
+        batched, data = make_env(mode=mode, episode_cap=episode_cap, seed=9)
+        stepped, _ = make_env(mode=mode, episode_cap=episode_cap, seed=9)
+        rng = np.random.default_rng(episode_cap)
+        indices = rng.integers(0, len(data), 400)
+        actions = rng.integers(0, batched.action_count, 400)
+        expected = step_replay(stepped, indices, actions)
+        missed = (data.labels[indices] != 0) & (actions == 0)
+        assert missed.any()
+        # split where an episode is running, so it crosses into the second call
+        split = 200
+        while episode_cap > 1 and expected[split - 1]:
+            split += 1
+        _, first = batched.score(indices[:split], actions[:split])
+        _, second = batched.score(indices[split:], actions[split:])
+        assert np.concatenate([first, second]).tolist() == expected
+        assert batched._step_count == stepped._step_count
+
+    def test_cap_counts_across_calls(self):
+        # all-normal data, correct silence: only the cap ends an episode
+        data = ds.EncodedDataset(matrix=np.zeros((1, 3)), labels=np.array([0]))
+        env = ids_env.IdsEnv(data, ids_env.EnvConfig(mode="binary", episode_cap=50, seed=0))
+        _, first = env.score(np.zeros(30, dtype=np.int64), np.zeros(30, dtype=np.int64))
+        _, second = env.score(np.zeros(80, dtype=np.int64), np.zeros(80, dtype=np.int64))
+        dones = np.concatenate([first, second])
+        assert np.flatnonzero(dones).tolist() == [49, 99]
+        assert env._step_count == 10
+
+    def test_out_of_range_action(self):
+        env, _ = make_env()
+        with pytest.raises(ValueError):
+            env.score([0, 1], [1, 2])
+
+    def test_draw_in_range(self):
+        env, data = make_env(n=50)
+        indices = env.draw(1000)
+        assert indices.shape == (1000,)
+        assert indices.min() >= 0 and indices.max() < len(data)
+
+
+# index i of this dataset holds a record of class i
+_ONE_PER_CLASS = ds.EncodedDataset(matrix=np.zeros((5, 2)), labels=np.arange(5))
+
+
+@settings(database=None, deadline=None)
+@given(
+    mode=st.sampled_from(["binary", "multiclass"]),
+    cells=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=60),
+    episode_cap=st.integers(1, 12),
+)
+def test_reward_table_property(mode, cells, episode_cap):
+    k = ids_env.IdsMode(mode).action_count
+    classes = [c for c, _ in cells]
+    actions = [a % k for _, a in cells]
+    table = ids_env.reward_table(mode)
+    assert table.shape == (5, k)
+    assert all(table[c, a] == ids_env.reward(c, a, mode) for c in range(5) for a in range(k))
+
+    config = ids_env.EnvConfig(mode=mode, episode_cap=episode_cap)
+    env = ids_env.IdsEnv(_ONE_PER_CLASS, config)
+    rewards, dones = env.score(classes, actions)
+    assert rewards.tolist() == [ids_env.reward(c, a, mode) for c, a in zip(classes, actions)]
+    stepped = ids_env.IdsEnv(_ONE_PER_CLASS, config)
+    assert dones.tolist() == step_replay(stepped, classes, actions)
+    assert env._step_count == stepped._step_count

@@ -107,6 +107,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             gan.train_gan(empty, t, gan.GanConfig(epochs=1))
 
+    def test_nan_loss_stops_training(self):
+        records, labels = make_surrogate_records(300, seed=0)
+        t = ds.fit_transformer(records)
+        data = ds.encode_dataset(records, labels, t)
+        data.matrix[:, 0] = np.nan  # every real batch scores NaN
+        cfg = gan.GanConfig(epochs=1, batch_size=50, critic_steps=2, noise_dim=16, hidden=(32, 32))
+        with pytest.raises(FloatingPointError, match="gan-train: non-finite critic loss.*step 0"):
+            gan.train_gan(data, t, cfg)
+
     def test_critic_weights_clipped(self):
         model, _, _ = surrogate_model(epochs=2, weight_clip=0.01)
         for w in model.critic.weights:
