@@ -76,6 +76,9 @@ class PpoConfig:
         for name in ("clip_epsilon", "learning_rate", "max_grad_norm"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("entropy_coef", "value_coef"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("rollout_length", "minibatch", "update_epochs", "eval_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -124,7 +124,7 @@ def _grow(X, y, k, depth, max_depth, min_split):
     return node
 
 
-def train_tree(X, y, max_depth=20, min_split=2, seed=0):
+def train_tree(X, y, max_depth=20, min_split=2):
     """CART with Gini impurity over midpoint thresholds."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -171,9 +171,6 @@ def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0)
             dprobs = -target / np.maximum(probs, 1e-12) / idx.size
             grads, _ = nn.backward(net, tape, dprobs)
             nn.opt_step(net, grads, opt)
-
-    def predict_proba(A):
-        out, _ = nn.forward(net, A)
-        return np.atleast_2d(out)
-
-    return Classifier(kind="mlp", n_classes=k, _predict_proba=predict_proba, net=net)
+    return Classifier(
+        kind="mlp", n_classes=k, _predict_proba=lambda A: nn.forward(net, A)[0], net=net
+    )

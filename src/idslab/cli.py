@@ -371,7 +371,7 @@ def stage_baselines(config):
     )
     trainers = {
         "logreg": lambda: baselines.train_logreg(X_train, y_train, n_classes=k, seed=config["seed"]),
-        "tree": lambda: baselines.train_tree(X_train, y_train, seed=config["seed"]),
+        "tree": lambda: baselines.train_tree(X_train, y_train),
         "mlp": lambda: baselines.train_mlp(X_train, y_train, seed=config["seed"]),
     }
     for name in config["baselines"]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import ClassLabel, N_CLASSES, Transformer
+from .dataset import CLASS_NAMES, ClassLabel, N_CLASSES, Transformer, _F20_RAW_INDEX
 
 __all__ = [
     "GanConfig",
@@ -157,18 +157,24 @@ def _output_backward(grad_out, cache, tau):
     return grad_raw
 
 
-def _clip_weights(net, clip):
-    for w, b in zip(net.weights, net.biases):
-        np.clip(w, -clip, clip, out=w)
-        np.clip(b, -clip, clip, out=b)
-
-
 def _generate_soft(model, conditions, rng):
     noise = rng.standard_normal((conditions.shape[0], model.config.noise_dim))
     gen_in = np.concatenate([noise, conditions], axis=1)
     raw, tape = nn.forward(model.generator, gen_in)
-    fake, cache = _output_transform(np.atleast_2d(raw), model, rng=rng)
+    fake, cache = _output_transform(raw, model, rng=rng)
     return fake, tape, cache
+
+
+def _critic_loss_and_grads(critic, fake, real, cond):
+    """WGAN critic loss mean(critic(fake)) - mean(critic(real)) and its
+    parameter gradients, from one pass over the stacked [fake; real] rows."""
+    m = len(fake)
+    batch = np.concatenate([np.concatenate([fake, real]), np.concatenate([cond, cond])], axis=1)
+    scores, tape = nn.forward(critic, batch)
+    loss = float(scores[:m].mean() - scores[m:].mean())
+    upstream = np.concatenate([np.full((m, 1), 1.0 / m), np.full((m, 1), -1.0 / m)])
+    grads, _ = nn.backward(critic, tape, upstream)
+    return loss, grads
 
 
 def _check_finite(net, loss, step):
@@ -212,19 +218,12 @@ def train_gan(data, transformer, config):
             critic_loss = 0.0
             for _ in range(config.critic_steps):
                 idx = rng.choice(class_rows[c], size=config.batch_size, replace=True)
-                real = real_full[idx]
                 fake, _, _ = _generate_soft(model, cond, rng)
-                m = config.batch_size
-                score_fake, tape_f = nn.forward(model.critic, np.concatenate([fake, cond], axis=1))
-                score_real, tape_r = nn.forward(model.critic, np.concatenate([real, cond], axis=1))
-                # minimize mean(fake) - mean(real)
-                critic_loss = float(score_fake.mean() - score_real.mean())
+                critic_loss, grads = _critic_loss_and_grads(model.critic, fake, real_full[idx], cond)
                 _check_finite("critic", critic_loss, step)
-                grads_f, _ = nn.backward(model.critic, tape_f, np.full((m, 1), 1.0 / m))
-                grads_r, _ = nn.backward(model.critic, tape_r, np.full((m, 1), -1.0 / m))
-                grads = [(gf[0] + gr[0], gf[1] + gr[1]) for gf, gr in zip(grads_f, grads_r)]
                 nn.opt_step(model.critic, grads, crit_opt)
-                _clip_weights(model.critic, config.weight_clip)
+                np.clip(model.critic.params, -config.weight_clip, config.weight_clip,
+                        out=model.critic.params)
             # generator step: minimize -mean(critic(fake))
             fake, gen_tape, cache = _generate_soft(model, cond, rng)
             m = config.batch_size
@@ -245,7 +244,7 @@ def _generate_hard(model, condition_ids, rng):
     cond = nn.one_hot(condition_ids, N_CLASSES)
     noise = rng.standard_normal((cond.shape[0], model.config.noise_dim))
     raw, _ = nn.forward(model.generator, np.concatenate([noise, cond], axis=1))
-    vec, _ = _output_transform(np.atleast_2d(raw), model, rng=rng, hard=True)
+    vec, _ = _output_transform(raw, model, rng=rng, hard=True)
     return vec
 
 
@@ -292,11 +291,8 @@ def sample_conditional(model, target_class, n, seed=0, attempt_factor=50):
         vectors = _generate_hard(model, ids, rng)
         attempts += batch
         accept = _generated_label_ids(model, vectors) == target_class
-        for row in vectors[accept][: n - len(kept)]:
-            kept.append(model.transformer.decode(row[: model.transformer.total_dim]))
+        kept.extend(_decode_rows(model, vectors[accept][: n - len(kept)]))
         if len(kept) < n and attempts >= cap:
-            from .dataset import CLASS_NAMES
-
             raise SamplingStarvationError(
                 f"conditional sampling starved for class {CLASS_NAMES[target_class]}: "
                 f"{len(kept)}/{n} rows after {attempts} attempts"
@@ -319,8 +315,6 @@ def export_synthetic(rows, path):
     has the standard 41 feature columns; the label slot holds the class
     symbol (re-parse maps symbols directly).
     """
-    from .dataset import _F20_RAW_INDEX
-
     with open(path, "w", encoding="utf-8") as fh:
         for record, label in rows:
             fields = [_format_value(v) for v in record.values]

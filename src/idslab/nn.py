@@ -1,15 +1,15 @@
 """Dense feed-forward networks with manual backpropagation.
 
 Shared numeric kernel for the GAN, the PPO agent, and the MLP/logistic
-baselines.  Everything is float64 and deterministic per seed; a net is a
-plain value type, and one checkpoint format stores any named set of nets
-bit-exactly.
+baselines.  Everything is float64 and deterministic per seed; a net's
+weights and biases are views into one parameter vector, and one checkpoint
+format stores any named set of nets bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,12 +70,13 @@ def _act_forward(name, z):
     raise ValueError(f"unknown activation: {name!r}")
 
 
-def _act_backward(name, z, out, grad):
-    """Gradient w.r.t. pre-activation z, given grad w.r.t. activation output."""
+def _act_backward(name, out, grad):
+    """Gradient w.r.t. the pre-activation, given the activation output and the
+    grad w.r.t. it (for relu and leaky_relu, out > 0 exactly where z > 0)."""
     if name == "relu":
-        return grad * (z > 0.0)
+        return grad * (out > 0.0)
     if name == "leaky_relu":
-        return grad * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+        return grad * np.where(out > 0.0, 1.0, LEAKY_SLOPE)
     if name == "sigmoid":
         return grad * out * (1.0 - out)
     if name == "tanh":
@@ -89,8 +90,9 @@ def _act_backward(name, z, out, grad):
 
 @dataclass
 class DenseNet:
-    weights: list  # per layer: (in_dim, out_dim) float64
-    biases: list  # per layer: (out_dim,) float64
+    params: np.ndarray  # every parameter, layer by layer: w0, b0, w1, b1, ...
+    weights: list  # per layer: (in_dim, out_dim) view into params
+    biases: list  # per layer: (out_dim,) view into params
     activations: list  # per layer name
 
     @property
@@ -104,6 +106,15 @@ class DenseNet:
     @property
     def out_dim(self):
         return self.weights[-1].shape[1]
+
+
+def _pack(weights, biases, activations):
+    """A DenseNet holding copies of the given arrays as views into one vector."""
+    arrays = [a for w, b in zip(weights, biases) for a in (w, b)]
+    params = np.concatenate([a.ravel() for a in arrays])
+    bounds = np.cumsum([a.size for a in arrays])[:-1]
+    views = [part.reshape(a.shape) for part, a in zip(np.split(params, bounds), arrays)]
+    return DenseNet(params, views[0::2], views[1::2], list(activations))
 
 
 def init_net(layer_sizes, activations, seed):
@@ -125,24 +136,23 @@ def init_net(layer_sizes, activations, seed):
             std = np.sqrt(1.0 / fan_in)
         weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return DenseNet(weights=weights, biases=biases, activations=list(activations))
+    return _pack(weights, biases, activations)
 
 
 def forward(net, batch):
-    """Run the net; returns (outputs, tape) with tape feeding backward()."""
+    """Run the net; returns (outputs, tape), the tape holding each layer's
+    (input, output) for backward()."""
     x = np.asarray(batch, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"input must be a 2-D batch, got {x.ndim}-D")
     if x.shape[1] != net.in_dim:
         raise ValueError(f"input dim {x.shape[1]} != net input {net.in_dim}")
     tape = []
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = x @ w + b
-        out = _act_forward(act, z)
-        tape.append((x, z, out))
+        out = _act_forward(act, x @ w + b)
+        tape.append((x, out))
         x = out
-    return (x[0] if squeeze else x), tape
+    return x, tape
 
 
 def backward(net, tape, output_gradient):
@@ -152,14 +162,12 @@ def backward(net, tape, output_gradient):
     needed when chaining nets (generator through critic, trunk through heads).
     """
     grad = np.asarray(output_gradient, dtype=np.float64)
-    if grad.ndim == 1:
-        grad = grad[None, :]
     param_grads = [None] * net.n_layers
     for i in range(net.n_layers - 1, -1, -1):
-        x, z, out = tape[i]
-        if grad.shape != z.shape:
-            raise ValueError(f"gradient shape {grad.shape} != layer output {z.shape}")
-        dz = _act_backward(net.activations[i], z, out, grad)
+        x, out = tape[i]
+        if grad.shape != out.shape:
+            raise ValueError(f"gradient shape {grad.shape} != layer output {out.shape}")
+        dz = _act_backward(net.activations[i], out, grad)
         param_grads[i] = (x.T @ dz, dz.sum(axis=0))
         grad = dz @ net.weights[i].T
     return param_grads, grad
@@ -169,8 +177,8 @@ def backward(net, tape, output_gradient):
 class OptState:
     algo: str  # "adam" or "rmsprop"
     lr: float
-    m: list = field(default_factory=list)  # adam first moments
-    v: list = field(default_factory=list)  # second moments
+    m: np.ndarray = None  # adam first moments, one per entry of net.params
+    v: np.ndarray = None  # second moments
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -181,32 +189,26 @@ class OptState:
     def for_net(cls, net, algo, lr):
         if algo not in ("adam", "rmsprop"):
             raise ValueError(f"unknown optimizer: {algo!r}")
-        shapes = [(w.shape, b.shape) for w, b in zip(net.weights, net.biases)]
-        m = [(np.zeros(ws), np.zeros(bs)) for ws, bs in shapes]
-        v = [(np.zeros(ws), np.zeros(bs)) for ws, bs in shapes]
-        return cls(algo=algo, lr=lr, m=m, v=v)
+        return cls(algo=algo, lr=lr, m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
 def opt_step(net, param_grads, state):
-    """Apply one in-place optimizer update."""
+    """Apply one in-place update to net.params from backward()'s (dW, db) list."""
     state.t += 1
-    for i, (dw, db) in enumerate(param_grads):
-        for j, (param, grad) in enumerate(((net.weights[i], dw), (net.biases[i], db))):
-            if state.algo == "adam":
-                m = state.m[i][j]
-                v = state.v[i][j]
-                m *= state.beta1
-                m += (1.0 - state.beta1) * grad
-                v *= state.beta2
-                v += (1.0 - state.beta2) * grad * grad
-                mhat = m / (1.0 - state.beta1**state.t)
-                vhat = v / (1.0 - state.beta2**state.t)
-                param -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
-            else:  # rmsprop
-                v = state.v[i][j]
-                v *= state.decay
-                v += (1.0 - state.decay) * grad * grad
-                param -= state.lr * grad / (np.sqrt(v) + state.eps)
+    grad = np.concatenate([g.ravel() for pair in param_grads for g in pair])
+    m, v = state.m, state.v
+    if state.algo == "adam":
+        m *= state.beta1
+        m += (1.0 - state.beta1) * grad
+        v *= state.beta2
+        v += (1.0 - state.beta2) * grad * grad
+        mhat = m / (1.0 - state.beta1**state.t)
+        vhat = v / (1.0 - state.beta2**state.t)
+        net.params -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    else:  # rmsprop
+        v *= state.decay
+        v += (1.0 - state.decay) * grad * grad
+        net.params -= state.lr * grad / (np.sqrt(v) + state.eps)
 
 
 def clip_global_norm(grad_lists, max_norm):
@@ -254,10 +256,10 @@ def load_checkpoint(path):
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {header.get('version')}")
         nets = {
-            name: DenseNet(
-                weights=[z[f"{name}_w{i}"].copy() for i in range(len(acts))],
-                biases=[z[f"{name}_b{i}"].copy() for i in range(len(acts))],
-                activations=list(acts),
+            name: _pack(
+                [z[f"{name}_w{i}"] for i in range(len(acts))],
+                [z[f"{name}_b{i}"] for i in range(len(acts))],
+                acts,
             )
             for name, acts in header["nets"].items()
         }

@@ -67,6 +67,8 @@ class TestValidation:
             'gan.learning_rate="fast"',
             "gan.hidden=[0]",
             "ppo.learning_rate=-1.0",  # would train by gradient ascent
+            "ppo.value_coef=-1.0",  # would maximise the value error
+            "ppo.entropy_coef=-5.0",
         ],
     )
     def test_bad_value_fails_before_any_stage(self, workdir, override):

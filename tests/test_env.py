@@ -123,11 +123,13 @@ class TestEpisodes:
         env, _ = make_env(mode="binary", episode_cap=50, seed=4)
         env.reset()
         steps = 0
-        while True:
+        for _ in range(env.config.episode_cap + 1):
             result = env.step(1)  # always alert: never misses an attack
             steps += 1
             if result.done:
                 break
+        else:
+            pytest.fail("no step ended the episode")
         assert steps == 50  # only the cap can end an always-alert episode
 
     def test_oracle_policy_cumulative_reward(self):

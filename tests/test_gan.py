@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idslab import dataset as ds, gan, synth_eval
+from idslab import dataset as ds, gan, nn, synth_eval
 from idslab.dataset import CATEGORICAL, CONTINUOUS, FeatureSpec
 
 from conftest import make_surrogate_records
@@ -122,6 +122,24 @@ class TestTrain:
             assert np.max(np.abs(w)) <= 0.01 + 1e-12
         for b in model.critic.biases:
             assert np.max(np.abs(b)) <= 0.01 + 1e-12
+
+    def test_one_pass_critic_gradient_matches_two_passes(self):
+        model, _, data = surrogate_model(epochs=0)
+        rng = np.random.default_rng(0)
+        m = 40
+        cond = nn.one_hot(np.full(m, 2), ds.N_CLASSES)
+        fake, _, _ = gan._generate_soft(model, cond, rng)
+        real = np.concatenate([data.matrix[:m], cond], axis=1)
+        loss, grads = gan._critic_loss_and_grads(model.critic, fake, real, cond)
+
+        score_f, tape_f = nn.forward(model.critic, np.concatenate([fake, cond], axis=1))
+        score_r, tape_r = nn.forward(model.critic, np.concatenate([real, cond], axis=1))
+        grads_f, _ = nn.backward(model.critic, tape_f, np.full((m, 1), 1.0 / m))
+        grads_r, _ = nn.backward(model.critic, tape_r, np.full((m, 1), -1.0 / m))
+        assert loss == pytest.approx(score_f.mean() - score_r.mean(), rel=0, abs=1e-12)
+        for (dw, db), gf, gr in zip(grads, grads_f, grads_r):
+            np.testing.assert_allclose(dw, gf[0] + gr[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(db, gf[1] + gr[1], rtol=0, atol=1e-12)
 
     @pytest.mark.slow
     def test_toy_table_marginals(self):

@@ -96,6 +96,8 @@ class TestForward:
         net = nn.init_net([4, 2], ["linear"], seed=0)
         with pytest.raises(ValueError):
             nn.forward(net, np.zeros((3, 5)))
+        with pytest.raises(ValueError):
+            nn.forward(net, np.zeros(4))
 
     def test_pure(self):
         net = nn.init_net([4, 4, 2], ["tanh", "softmax"], seed=7)
@@ -181,6 +183,61 @@ class TestOptimizers:
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
             nn.OptState.for_net(self._net(), "sgd", 1e-3)
+
+
+class TestParamVector:
+    def _arrays(self, net):
+        return [a for w, b in zip(net.weights, net.biases) for a in (w, b)]
+
+    def test_views_after_init(self):
+        net = nn.init_net([5, 4, 3], ["relu", "linear"], seed=0)
+        assert net.params.shape == (5 * 4 + 4 + 4 * 3 + 3,)
+        assert all(np.shares_memory(a, net.params) for a in self._arrays(net))
+        net.params[:] = 7.0
+        assert all(np.all(a == 7.0) for a in self._arrays(net))
+
+    def test_init_draws_in_layer_order(self):
+        net = nn.init_net([5, 4, 3], ["relu", "linear"], seed=0)
+        rng = np.random.default_rng(0)
+        assert np.array_equal(net.weights[0], rng.normal(0.0, np.sqrt(2.0 / 5), size=(5, 4)))
+        assert np.array_equal(net.weights[1], rng.normal(0.0, np.sqrt(1.0 / 4), size=(4, 3)))
+        assert all(np.all(b == 0.0) for b in net.biases)
+
+    def test_views_after_load(self, tmp_path):
+        net = nn.init_net([6, 5, 3], ["tanh", "softmax"], seed=4)
+        path = tmp_path / "net.npz"
+        nn.save_checkpoint({"net": net}, path)
+        back = nn.load_checkpoint(path)[0]["net"]
+        assert np.array_equal(back.params, net.params)
+        assert all(np.shares_memory(a, back.params) for a in self._arrays(back))
+
+    @pytest.mark.parametrize("algo", ["adam", "rmsprop"])
+    def test_whole_vector_step_matches_per_array_reference(self, algo):
+        net = nn.init_net([5, 4, 3], ["relu", "linear"], seed=1)
+        opt = nn.OptState.for_net(net, algo, 1e-2)
+        ref = [a.copy() for a in self._arrays(net)]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        rng = np.random.default_rng(2)
+        for t in range(1, 4):
+            grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape))
+                     for w, b in zip(net.weights, net.biases)]
+            nn.opt_step(net, grads, opt)
+            flat = [g for pair in grads for g in pair]
+            for param, grad, mi, vi in zip(ref, flat, m, v):
+                if algo == "adam":
+                    mi *= opt.beta1
+                    mi += (1.0 - opt.beta1) * grad
+                    vi *= opt.beta2
+                    vi += (1.0 - opt.beta2) * grad * grad
+                    mhat = mi / (1.0 - opt.beta1**t)
+                    vhat = vi / (1.0 - opt.beta2**t)
+                    param -= opt.lr * mhat / (np.sqrt(vhat) + opt.eps)
+                else:
+                    vi *= opt.decay
+                    vi += (1.0 - opt.decay) * grad * grad
+                    param -= opt.lr * grad / (np.sqrt(vi) + opt.eps)
+        assert all(np.array_equal(a, b) for a, b in zip(ref, self._arrays(net)))
 
 
 class TestClipNorm:
