@@ -82,28 +82,56 @@ def _gini(counts):
     return 1.0 - float((p * p).sum())
 
 
+# Sorted values per feature block of the split search.  The block's
+# (features, rows, classes) count arrays hold k times as many floats, so
+# memory stays bounded at any row count: a node of up to 2 427 rows takes
+# all 54 encoded features in one block, a 100 000-row root one feature.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _gini_rows(counts, size):
+    """Gini impurity of every (feature, boundary) class-count vector, with
+    `_gini`'s arithmetic; `size` holds each boundary's row count."""
+    p = counts / size[:, None]
+    p *= p
+    return 1.0 - p.sum(axis=-1)
+
+
 def _best_split(X, y, k):
-    """Best (feature, threshold) by Gini gain; ties broken by lowest
-    feature index, then lowest threshold."""
-    n = y.size
-    best = None  # (impurity, feature, threshold)
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        # cumulative class counts left of each candidate split
-        left_counts = np.zeros((n + 1, k))
-        np.add.at(left_counts, (np.arange(1, n + 1), ys), 1.0)
-        left_counts = np.cumsum(left_counts, axis=0)
-        total = left_counts[-1]
-        boundaries = np.flatnonzero(xs[1:] > xs[:-1]) + 1  # split between distinct values
-        for i in boundaries:
-            lc = left_counts[i]
-            rc = total - lc
-            imp = (i * _gini(lc) + (n - i) * _gini(rc)) / n
-            thr = 0.5 * (xs[i - 1] + xs[i])
-            if best is None or imp < best[0] - 1e-15:
-                best = (imp, f, thr)
+    """Best (impurity, feature, threshold) by Gini gain, or None when no
+    feature has two distinct values; ties broken by lowest feature index,
+    then lowest threshold.
+
+    Scores every boundary between distinct sorted values of a block of
+    features at once (Breiman et al. 1984's sort-and-scan, one cumulative
+    class count per boundary), then applies the sequential rule -- take a
+    candidate only if it beats the best so far by more than 1e-15 -- in
+    feature-major order.  A candidate that rule takes is lower than every
+    candidate before it, so only the strict running minima are visited.
+    """
+    n, d = X.shape
+    if n < 2:
+        return None
+    size = np.arange(1, n, dtype=np.float64)  # rows left of each boundary
+    classes = np.arange(k)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    best = None
+    lowest = np.inf  # lowest impurity over the blocks already scanned
+    for f0 in range(0, d, step):
+        cols = X[:, f0 : f0 + step].T
+        order = np.argsort(cols, axis=1, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=1)
+        counts = np.cumsum(y[order][..., None] == classes, axis=1, dtype=np.float64)
+        left = counts[:, :-1]
+        right = counts[:, -1:] - left
+        imp = (size * _gini_rows(left, size) + (n - size) * _gini_rows(right, n - size)) / n
+        imp = np.where(xs[:, 1:] > xs[:, :-1], imp, np.inf).ravel()
+        before = np.minimum.accumulate(np.concatenate(([lowest], imp[:-1])))
+        lowest = min(lowest, before[-1], imp[-1])
+        for j in np.flatnonzero(imp < before).tolist():
+            if best is None or imp[j] < best[0] - 1e-15:
+                f, i = divmod(j, n - 1)
+                best = (imp[j], f0 + f, 0.5 * (xs[f, i] + xs[f, i + 1]))
     return best
 
 
@@ -135,11 +163,15 @@ def train_tree(X, y, max_depth=20, min_split=2):
 
     def predict_proba(A):
         out = np.empty((A.shape[0], k))
-        for i, row in enumerate(A):
-            node = root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
+        pending = [(root, np.arange(A.shape[0]))]
+        while pending:
+            node, rows = pending.pop()
+            if node.is_leaf:
+                out[rows] = node.prediction
+                continue
+            go_left = A[rows, node.feature] <= node.threshold
+            pending.append((node.left, rows[go_left]))
+            pending.append((node.right, rows[~go_left]))
         return out
 
     return Classifier(kind="tree", n_classes=k, _predict_proba=predict_proba)

@@ -6,7 +6,8 @@ directory; `run-all` chains them.  Outputs are fully determined by
 byte-identical bundles.
 
 Exit codes: 0 success, 2 validation error, 3 missing upstream artifact,
-4 runtime failure.
+4 runtime failure.  With IDSLAB_DEBUG=1 a runtime failure also prints its
+traceback to stderr, above the one-line message.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+import traceback
 import typing
 from pathlib import Path
 
@@ -484,6 +486,8 @@ def main(argv=None):
         print(f"dependency error: {exc}", file=sys.stderr)
         return EXIT_DEPENDENCY
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        if os.environ.get("IDSLAB_DEBUG") == "1":
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from idslab import baselines
 
@@ -99,6 +102,133 @@ class TestTree:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             baselines.train_tree(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+
+def _gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - float((p * p).sum())
+
+
+def reference_best_split(X, y, k):
+    """Oracle: the per-boundary scan, one feature and one boundary at a time."""
+    n = y.size
+    best = None  # (impurity, feature, threshold)
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        left_counts = np.zeros((n + 1, k))
+        np.add.at(left_counts, (np.arange(1, n + 1), ys), 1.0)
+        left_counts = np.cumsum(left_counts, axis=0)
+        total = left_counts[-1]
+        boundaries = np.flatnonzero(xs[1:] > xs[:-1]) + 1
+        for i in boundaries:
+            lc = left_counts[i]
+            rc = total - lc
+            imp = (i * _gini(lc) + (n - i) * _gini(rc)) / n
+            thr = 0.5 * (xs[i - 1] + xs[i])
+            if best is None or imp < best[0] - 1e-15:
+                best = (imp, f, thr)
+    return best
+
+
+def reference_proba(root, A):
+    """Oracle: walk each row from the root to its leaf."""
+    out = []
+    for row in A:
+        node = root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out.append(node.prediction)
+    return np.array(out)
+
+
+def tree_nodes(node):
+    """Preorder (feature, threshold, class distribution) of every node."""
+    nodes = [(node.feature, node.threshold, node.prediction.tolist())]
+    if not node.is_leaf:
+        nodes += tree_nodes(node.left) + tree_nodes(node.right)
+    return nodes
+
+
+@st.composite
+def split_problems(draw):
+    # few distinct values per column, so boundaries and impurities tie often
+    n = draw(st.integers(2, 80))
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 5))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    X = np.array(cells, dtype=np.float64).reshape(n, d)
+    return X, np.array(labels, dtype=np.int64), k
+
+
+# Features 0 and 2 score 0.4 and 0.3999999999999999: within 1e-15, so the
+# lower feature index wins although the later impurity is smaller.
+NEAR_TIE = (
+    np.array(
+        [[0, 1, 1, 1, 0, 0, 2, 0, 1, 2],
+         [1, 1, 0, 2, 2, 0, 2, 0, 1, 2],
+         [2, 0, 0, 2, 0, 1, 1, 2, 0, 0]],
+        dtype=np.float64,
+    ).T,
+    np.array([0, 1, 0, 0, 1, 0, 1, 1, 1, 1], dtype=np.int64),
+    2,
+)
+
+
+class TestSplitSearch:
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-feature-blocks"])
+    @settings(max_examples=300, deadline=None)
+    @given(problem=split_problems())
+    @example(problem=NEAR_TIE)
+    def test_matches_per_boundary_scan(self, budget, problem):
+        X, y, k = problem
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(baselines, "_BLOCK_ELEMENTS", budget)
+            got = baselines._best_split(X, y, k)
+        assert got == reference_best_split(X, y, k)
+
+    def test_deep_fit_grows_identical_tree(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = np.concatenate(
+            [rng.integers(0, 4, size=(600, 5)), rng.normal(size=(600, 3)).round(1)], axis=1
+        ).astype(np.float64)
+        y = rng.integers(0, 4, size=600)
+        got = baselines._grow(X, y, 4, 0, 20, 2)
+        monkeypatch.setattr(baselines, "_best_split", reference_best_split)
+        want = baselines._grow(X, y, 4, 0, 20, 2)
+        assert len(tree_nodes(want)) > 100
+        assert tree_nodes(got) == tree_nodes(want)
+
+    def test_predict_proba_matches_row_walk(self):
+        rng = np.random.default_rng(12)
+        X = rng.integers(0, 5, size=(400, 4)).astype(np.float64)
+        y = rng.integers(0, 3, size=400)
+        clf = baselines.train_tree(X, y)
+        root = baselines._grow(X, y, 3, 0, 20, 2)
+        # thresholds are midpoints, so grid rows land on both sides and on them
+        grid = rng.integers(0, 9, size=(500, 4)) / 2.0 - 0.5
+        grid[::7, 1] = np.nan
+        for A in (X, grid):
+            assert np.array_equal(clf.predict_proba(A), reference_proba(root, A))
+
+    def test_root_split_memory_is_bounded(self):
+        # 100 000 x 54 at once would need over 1 GB of class counts
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(100_000, 54))
+        y = rng.integers(0, 5, size=100_000)
+        tracemalloc.start()
+        try:
+            baselines._best_split(X, y, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestMlp:

@@ -151,6 +151,26 @@ class TestStages:
         assert run(["gan-train"] + TINY) == cli.EXIT_RUNTIME
         assert not (out / "gan_model.npz").exists()
 
+    def test_debug_prints_traceback_of_runtime_failure(self, workdir, monkeypatch, capsys):
+        assert run(["preprocess"]) == cli.EXIT_OK
+        out = workdir / "runs" / "default"
+        train = ds.EncodedDataset.load(out / "train.npz")
+        train.matrix[:, 0] = np.nan
+        train.save(out / "train.npz")
+        capsys.readouterr()
+
+        monkeypatch.delenv("IDSLAB_DEBUG", raising=False)
+        assert run(["gan-train"] + TINY) == cli.EXIT_RUNTIME
+        plain = capsys.readouterr().err.splitlines()
+        assert len(plain) == 1 and plain[0].startswith("error: ")
+
+        monkeypatch.setenv("IDSLAB_DEBUG", "1")
+        assert run(["gan-train"] + TINY) == cli.EXIT_RUNTIME
+        debug = capsys.readouterr().err.splitlines()
+        assert debug[0] == "Traceback (most recent call last):"
+        assert any(line.startswith("FloatingPointError: ") for line in debug)
+        assert debug[-1] == plain[0]
+
     def test_baselines_rows(self, workdir):
         assert run(["preprocess"]) == cli.EXIT_OK
         args = TINY + ["--set", 'baselines=["logreg","tree"]']

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idslab import dataset as ds
 
@@ -224,6 +225,34 @@ class TestTransformer:
     def test_log_scaling_applied(self, fitted):
         _, _, t = fitted
         assert next(s for s in t.specs if s.name == "src_bytes").log_scaled
+
+
+def _value_strategy(spec):
+    if spec.kind == ds.CATEGORICAL:
+        return st.text(alphabet="abc_", min_size=1, max_size=3)
+    if spec.integer:
+        return st.integers(0, 10**9 if spec.log_scaled else 10**5).map(float)
+    return st.floats(0.0, 1.0)
+
+
+_RECORD = st.tuples(*(_value_strategy(spec) for spec in ds.FEATURE_SCHEMA)).map(
+    lambda values: ds.RawRecord(values=values, attack_name="normal")
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(_RECORD, min_size=1, max_size=12))
+def test_codec_roundtrip_property(records):
+    # decode returns categories exactly, rounds integer features to the
+    # nearest integer and leaves rates as floats of the min-max inverse
+    t = ds.fit_transformer(records)
+    for rec in records:
+        back = t.decode(t.encode(rec)).values
+        for spec, orig, got in zip(t.specs, rec.values, back):
+            if spec.kind == ds.CATEGORICAL or spec.integer:
+                assert got == orig
+            else:
+                assert abs(got - orig) < 1e-9
 
 
 class TestHistogramAndBinary:

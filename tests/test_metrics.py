@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idslab import metrics
 
@@ -149,6 +150,20 @@ class TestOracleAgreement:
                 assert abs(s.f1 - per_class[c][2]) < 1e-12
             assert abs(metrics.aggregate_f1(cm, "macro") - macro) < 1e-12
             assert abs(metrics.aggregate_f1(cm, "weighted") - weighted) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), data=st.data())
+def test_metric_invariants(k, data):
+    n = data.draw(st.integers(1, 80))
+    labels = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    pred, truth = data.draw(labels), data.draw(labels)
+    cm = metrics.confusion(pred, truth, k)
+    assert cm.total == n
+    assert metrics.accuracy(cm) == float(np.trace(cm.counts)) / cm.total
+    assert metrics.accuracy(cm) == sum(p == t for p, t in zip(pred, truth)) / n
+    for weighting in ("macro", "weighted"):
+        assert 0.0 <= metrics.aggregate_f1(cm, weighting) <= 1.0
 
 
 def test_report_row_format():
