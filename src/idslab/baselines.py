@@ -35,6 +35,41 @@ class Classifier:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
+def _fit_softmax(X, y, k, train, mu, sd, seeds, l2, epochs, lr):
+    """Fit one L2 softmax regression per fold f, on the rows train[f] of
+    (X - mu[f]) / sd[f] from init_net seed seeds[f], by full-batch Adam.
+
+    The standardization is folded into the matmuls, logits = X (W/sd) +
+    b - (mu/sd) W and dW = (X^T dL - mu (x) sum(dL)) / sd + l2 W, so each
+    epoch is one pass over X for every fold and X is never copied.  Logits
+    are laid out (fold, class, row).  Returns (nets, probs), probs[f, c, r]
+    being fold f's final probability of class c for row r.
+    """
+    n, d = X.shape
+    F = len(seeds)
+    nets = [nn.init_net([d, k], ["linear"], seed=s) for s in seeds]
+    params = np.stack([net.params for net in nets])  # (F, d*k + k), net layout
+    W, b = params[:, : d * k].reshape(F, d, k), params[:, d * k :]
+    opt = nn.OptState("adam", lr, m=np.zeros_like(params), v=np.zeros_like(params))
+    target, n_train = nn.one_hot(y, k).T, train.sum(axis=1)[:, None, None]
+
+    def predict():
+        Ws = W / sd[:, :, None]
+        z = (Ws.transpose(0, 2, 1).reshape(F * k, d) @ X.T).reshape(F, k, n)
+        z += (b - (mu[:, None, :] @ Ws)[:, 0])[:, :, None]
+        return nn.softmax(z, axis=1)
+
+    for _ in range(epochs):
+        dL = (predict() - target) / n_train * train[:, None, :]  # held-out rows weigh 0
+        db = dL.sum(axis=2)
+        XtdL = (dL.reshape(F * k, n) @ X).reshape(F, k, d).transpose(0, 2, 1)
+        dW = (XtdL - mu[:, :, None] * db[:, None, :]) / sd[:, :, None] + l2 * W
+        nn.update_params(params, np.concatenate([dW.reshape(F, -1), db], axis=1), opt)
+    for net, fitted in zip(nets, params):
+        net.params[...] = fitted
+    return nets, predict()
+
+
 def train_logreg(X, y, n_classes=None, l2=1e-4, epochs=300, lr=1e-2, seed=0):
     """L2-regularized softmax regression, full-batch Adam."""
     X = np.asarray(X, dtype=np.float64)
@@ -43,15 +78,8 @@ def train_logreg(X, y, n_classes=None, l2=1e-4, epochs=300, lr=1e-2, seed=0):
         raise ValueError("empty training data")
     k = n_classes if n_classes is not None else int(y.max()) + 1
     n, d = X.shape
-    net = nn.init_net([d, k], ["linear"], seed=seed)
-    opt = nn.OptState.for_net(net, "adam", lr)
-    Y = nn.one_hot(y, k)
-    for _ in range(epochs):
-        logits = X @ net.weights[0] + net.biases[0]
-        probs = nn.softmax(logits)
-        dlogits = (probs - Y) / n
-        grads = [(X.T @ dlogits + l2 * net.weights[0], dlogits.sum(axis=0))]
-        nn.opt_step(net, grads, opt)
+    (net,), _ = _fit_softmax(X, y, k, np.ones((1, n), dtype=bool), np.zeros((1, d)),
+                             np.ones((1, d)), [seed], l2, epochs, lr)
     W, b = net.weights[0].copy(), net.biases[0].copy()
     return Classifier(
         kind="logreg", n_classes=k, _predict_proba=lambda A: nn.softmax(A @ W + b),

@@ -20,6 +20,7 @@ __all__ = [
     "forward",
     "backward",
     "opt_step",
+    "update_params",
     "clip_global_norm",
     "softmax",
     "softmax_backward",
@@ -33,11 +34,12 @@ LEAKY_SLOPE = 0.2
 CHECKPOINT_VERSION = 2
 
 
-def softmax(z):
-    """Softmax over the last axis, shifted by the row max for stability."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(z, axis=-1):
+    """Softmax over `axis` (default the last), shifted by the max for stability."""
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(out, grad):
@@ -194,8 +196,13 @@ class OptState:
 
 def opt_step(net, param_grads, state):
     """Apply one in-place update to net.params from backward()'s (dW, db) list."""
-    state.t += 1
     grad = np.concatenate([g.ravel() for pair in param_grads for g in pair])
+    update_params(net.params, grad, state)
+
+
+def update_params(params, grad, state):
+    """One in-place Adam/RMSProp step on `params`, shaped like grad and state.m/v."""
+    state.t += 1
     m, v = state.m, state.v
     if state.algo == "adam":
         m *= state.beta1
@@ -204,11 +211,11 @@ def opt_step(net, param_grads, state):
         v += (1.0 - state.beta2) * grad * grad
         mhat = m / (1.0 - state.beta1**state.t)
         vhat = v / (1.0 - state.beta2**state.t)
-        net.params -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        params -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
     else:  # rmsprop
         v *= state.decay
         v += (1.0 - state.decay) * grad * grad
-        net.params -= state.lr * grad / (np.sqrt(v) + state.eps)
+        params -= state.lr * grad / (np.sqrt(v) + state.eps)
 
 
 def clip_global_norm(grad_lists, max_norm):

@@ -7,7 +7,8 @@ categorical columns, float for the rest).  Four scores, all in [0, 1]:
 * ks_score       - mean (1 - KS D statistic) over continuous columns
 * ks_score_extended - ordinal-rank transform of categoricals, then KS on all
 * detection_score   - 1 - mean ROC AUC of a cross-validated real/synth
-                      logistic-regression discriminator
+                      logistic-regression discriminator; its folds train
+                      together, one pass over the encoded rows per epoch
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset as ds
-from .baselines import train_logreg
+from .baselines import _fit_softmax
 from .metrics import UndefinedMetricError
 
 __all__ = [
@@ -241,15 +242,12 @@ def roc_auc(scores, flags):
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC AUC needs both flag values")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    # each run [i, j] of tied sorted scores shares its midrank
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size] - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)  # 1-based
     rank_sum = float(ranks[flags == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -269,34 +267,27 @@ def detection_score(real_records, synth_records, folds=5, seed=0,
     """1 - mean ROC AUC of a k-fold logistic real/synth discriminator.
 
     Both record lists are encoded with one transformer fit on their
-    concatenation, so the discriminator sees a common feature space.
+    concatenation, so the discriminator sees a common feature space.  The
+    folds, each standardized by its training rows, train together.
     """
-    if not real_records or not synth_records:
-        raise ValueError("both tables must be nonempty")
-    n = len(real_records) + len(synth_records)
-    if n < folds:
-        raise ValueError(f"{n} rows cannot fill {folds} folds")
+    if folds < 2:
+        raise ValueError(f"detection needs at least 2 folds, got {folds}")
+    if min(len(real_records), len(synth_records)) < folds:
+        raise ValueError(
+            f"{len(real_records)} real and {len(synth_records)} synthetic rows cannot "
+            f"fill {folds} folds: each side needs at least {folds}"
+        )
     transformer = ds.fit_transformer(list(real_records) + list(synth_records))
     X = transformer.encode_matrix(list(real_records) + list(synth_records))
     flags = np.concatenate(
         [np.zeros(len(real_records), dtype=np.int64), np.ones(len(synth_records), dtype=np.int64)]
     )
-    rng = np.random.default_rng(seed)
-    fold_of = _stratified_folds(flags, folds, rng)
-    aucs = []
-    for fold in range(folds):
-        train_mask = fold_of != fold
-        X_train, y_train = X[train_mask], flags[train_mask]
-        X_val, y_val = X[~train_mask], flags[~train_mask]
-        mu = X_train.mean(axis=0)
-        sd = X_train.std(axis=0)
-        sd[sd == 0.0] = 1.0
-        clf = train_logreg(
-            (X_train - mu) / sd, y_train, n_classes=2,
-            l2=l2, epochs=epochs, lr=lr, seed=seed + fold,
-        )
-        probs = clf.predict_proba((X_val - mu) / sd)[:, 1]
-        aucs.append(roc_auc(probs, y_val))
+    train = _stratified_folds(flags, folds, np.random.default_rng(seed)) != np.arange(folds)[:, None]
+    mu = np.array([X.mean(axis=0, where=rows[:, None]) for rows in train])
+    sd = np.array([X.std(axis=0, where=rows[:, None]) for rows in train])
+    sd[sd == 0.0] = 1.0
+    _, probs = _fit_softmax(X, flags, 2, train, mu, sd, range(seed, seed + folds), l2, epochs, lr)
+    aucs = [roc_auc(p[1, ~rows], flags[~rows]) for p, rows in zip(probs, train)]
     return 1.0 - float(np.mean(aucs))
 
 

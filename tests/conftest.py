@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from idslab import dataset as ds
+from idslab import nn
 
 # Attack names per class used by the surrogate corpus (subset of the real map).
 SURROGATE_ATTACKS = {
@@ -76,6 +77,22 @@ def make_surrogate_records(n, seed=0, class_weights=(0.53, 0.30, 0.10, 0.06, 0.0
     records = ds.parse_kdd(lines)
     labels = ds.labels_for(records)
     return records, labels
+
+
+def reference_logreg(X, y, k, l2=1e-4, epochs=300, lr=1e-2, seed=0):
+    """The one-fit softmax-regression loop `train_logreg` ran before the
+    fold kernel: (n, k) logits, full-batch Adam through `nn.opt_step`."""
+    n, d = X.shape
+    net = nn.init_net([d, k], ["linear"], seed=seed)
+    opt = nn.OptState.for_net(net, "adam", lr)
+    Y = nn.one_hot(y, k)
+    for _ in range(epochs):
+        logits = X @ net.weights[0] + net.biases[0]
+        probs = nn.softmax(logits)
+        dlogits = (probs - Y) / n
+        grads = [(X.T @ dlogits + l2 * net.weights[0], dlogits.sum(axis=0))]
+        nn.opt_step(net, grads, opt)
+    return net
 
 
 def write_surrogate_files(dirpath, n_train=2000, n_test=600, seed=0):

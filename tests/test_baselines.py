@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from idslab import baselines
 
+from conftest import reference_logreg
+
 
 def separable_blobs(n=400, seed=0, gap=4.0):
     # bounded noise keeps a true margin of gap - 2 along feature 0
@@ -66,6 +68,41 @@ class TestLogreg:
         assert np.array_equal(a.predict(X), b.predict(X))
         for wa, wb in zip(a.net.weights, b.net.weights):
             assert np.array_equal(wa, wb)
+
+
+class TestFoldKernel:
+    @pytest.mark.parametrize(
+        "k, n_classes",
+        [(2, None), (5, None), (4, 4)],
+        ids=["binary", "five-class", "absent-class"],
+    )
+    def test_matches_one_fit_loop(self, k, n_classes):
+        rng = np.random.default_rng(20 + k)
+        X = rng.normal(size=(500, 7)) * [1.0, 3.0, 0.1, 10.0, 1.0, 1.0, 2.0]
+        y = rng.integers(0, k, size=500)
+        if n_classes is not None:
+            y[y == 2] = 0  # class 2 of 4 never occurs
+        X[:, 0] += 1.5 * y
+        clf = baselines.train_logreg(X, y, n_classes=n_classes, epochs=200, seed=3)
+        want = reference_logreg(X, y, n_classes or k, epochs=200, seed=3)
+        assert np.max(np.abs(clf.net.params - want.params)) < 1e-12
+        expected = np.argmax(X @ want.weights[0] + want.biases[0], axis=1)
+        assert np.array_equal(clf.predict(X), expected)
+
+    def test_memory_below_one_copy_of_x(self):
+        # a per-fold or transposed copy of X alone would exceed X.nbytes
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(100_000, 54))
+        y = rng.integers(0, 2, size=100_000)
+        train = rng.integers(0, 5, size=100_000) != np.arange(5)[:, None]
+        mu, sd = np.zeros((5, 54)), np.ones((5, 54))
+        tracemalloc.start()
+        try:
+            baselines._fit_softmax(X, y, 2, train, mu, sd, range(5), 1e-4, 2, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
 
 class TestTree:

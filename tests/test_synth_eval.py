@@ -1,10 +1,13 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from idslab import dataset as ds
+from idslab import nn
 from idslab import synth_eval as se
 
-from conftest import make_surrogate_records
+from conftest import make_surrogate_records, reference_logreg
 
 
 def ks_oracle(a, b):
@@ -31,6 +34,45 @@ def auc_oracle(scores, flags):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def reference_roc_auc(scores, flags):
+    """`roc_auc` with the midrank loop it had before vectorisation."""
+    scores = np.asarray(scores, dtype=np.float64)
+    flags = np.asarray(flags, dtype=np.int64)
+    n_pos = int((flags == 1).sum())
+    n_neg = int((flags == 0).sum())
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[flags == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_detection(X, flags, folds, seed, l2, epochs, lr):
+    """The per-fold loop `detection_score` ran before the fold kernel:
+    each fold's held-out class-1 probabilities and the score."""
+    fold_of = se._stratified_folds(flags, folds, np.random.default_rng(seed))
+    held_out, aucs = [], []
+    for fold in range(folds):
+        train_mask = fold_of != fold
+        X_train, y_train = X[train_mask], flags[train_mask]
+        X_val, y_val = X[~train_mask], flags[~train_mask]
+        mu = X_train.mean(axis=0)
+        sd = X_train.std(axis=0)
+        sd[sd == 0.0] = 1.0
+        net = reference_logreg((X_train - mu) / sd, y_train, 2, l2, epochs, lr, seed + fold)
+        probs = nn.softmax(((X_val - mu) / sd) @ net.weights[0] + net.biases[0])[:, 1]
+        held_out.append(probs)
+        aucs.append(reference_roc_auc(probs, y_val))
+    return held_out, 1.0 - float(np.mean(aucs))
 
 
 def chi2_sf_oracle(stat, dof):
@@ -181,8 +223,44 @@ class TestRocAuc:
                 auc_oracle(scores, flags), abs=1e-12
             )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 3.0, np.nan]),
+                      st.integers(0, 1)),
+            min_size=2, max_size=60,
+        ).filter(lambda rows: len({f for _, f in rows}) == 2)
+    )
+    def test_midranks_match_loop(self, data):
+        scores, flags = (np.array(col) for col in zip(*data))
+        assert se.roc_auc(scores, flags) == reference_roc_auc(scores, flags)
+
 
 class TestDetection:
+    def test_folds_match_per_fold_loop(self, monkeypatch):
+        # unequal sides; many encoded surrogate columns are constant (sd 0 -> 1)
+        real, _ = make_surrogate_records(230, seed=17)
+        synth, _ = make_surrogate_records(170, seed=18)
+        X = ds.fit_transformer(real + synth).encode_matrix(real + synth)
+        flags = np.repeat([0, 1], [230, 170])
+        assert (X.std(axis=0) == 0.0).any()
+        fits = []
+        fit = se._fit_softmax
+
+        def recording(X, y, k, train, *rest):
+            nets, probs = fit(X, y, k, train, *rest)
+            fits.append((train, probs))
+            return nets, probs
+
+        monkeypatch.setattr(se, "_fit_softmax", recording)
+        score = se.detection_score(real, synth, folds=4, seed=2, epochs=120)
+        want_probs, want_score = reference_detection(X, flags, 4, 2, 1e-4, 120, 1e-2)
+        (train, probs), = fits
+        for fold, want in enumerate(want_probs):
+            got = probs[fold, 1, ~train[fold]]
+            assert np.max(np.abs(got - want)) < 1e-9
+        assert abs(score - want_score) < 1e-9
+
     def test_shuffled_copy_near_half(self):
         # sample size matters: at small n the discriminator memorizes the
         # duplicated rows and lands below chance on held-out folds
@@ -225,6 +303,15 @@ class TestDetection:
         records, _ = make_surrogate_records(2, seed=14)
         with pytest.raises(ValueError):
             se.detection_score(records[:1], records[1:], folds=5)
+        more, _ = make_surrogate_records(20, seed=14)
+        for real, synth, folds, message in (
+            (more[:10], more[10:], 0, "at least 2 folds, got 0"),
+            (more[:10], more[10:], 1, "at least 2 folds, got 1"),
+            (more, more[:3], 5, "20 real and 3 synthetic rows cannot fill 5 folds"),
+            (more[:4], more, 5, "4 real and 20 synthetic rows cannot fill 5 folds"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                se.detection_score(real, synth, folds=folds)
 
 
 def test_fidelity_report_bundle():
