@@ -4,8 +4,8 @@ The policy is a shared trunk with a softmax action head and a linear value
 head.  Because the environment is a contextual bandit, a rollout is a few
 array operations instead of a loop over steps: one draw of T + 1 record
 indices (the last is the bootstrap state), one batched forward, one
-inverse-CDF action draw (`sample_actions`, also behind `PolicyNet.act`),
-and one lookup of rewards and dones in the environment's reward table.
+inverse-CDF action draw (`sample_actions`), and one lookup of rewards and
+dones in the environment's reward table.
 Updates use the clipped-ratio surrogate with generalized advantage
 estimation and log per-update diagnostics, approximate KL and explained
 variance included; a non-finite loss stops training.  Evaluation replays
@@ -112,21 +112,11 @@ class PolicyNet:
         return [self.trunk, self.policy_head, self.value_head]
 
     def forward(self, obs_batch):
-        """Returns (probs, values, tapes) for a batch of observations."""
-        h, trunk_tape = nn.forward(self.trunk, np.atleast_2d(obs_batch))
+        """Returns (probs, values, tapes) for an (n, obs_dim) observation batch."""
+        h, trunk_tape = nn.forward(self.trunk, obs_batch)
         probs, policy_tape = nn.forward(self.policy_head, h)
         values, value_tape = nn.forward(self.value_head, h)
         return probs, values[:, 0], (trunk_tape, policy_tape, value_tape)
-
-    def action_probs(self, obs_batch):
-        probs, _, _ = self.forward(obs_batch)
-        return probs
-
-    def act(self, obs, rng):
-        """Sample one action; returns (action, log_prob, value)."""
-        probs, values, _ = self.forward(obs)
-        actions, log_probs = sample_actions(probs, rng)
-        return int(actions[0]), float(log_probs[0]), float(values[0])
 
     def save(self, path):
         nn.save_checkpoint(dict(zip(_NET_NAMES, self.nets())), path)
@@ -306,7 +296,7 @@ def make_optimizers(policy, config):
 class TrainLog:
     """Evaluation and update rows of one training run.
 
-    rows: (timestep, accuracy, f1_macro, f1_weighted, per-class f1);
+    rows: (timestep, *metrics.scores(cm)), one per evaluation;
     updates: (timestep, ppo_update stats), one per PPO update.
     """
 
@@ -314,26 +304,12 @@ class TrainLog:
     updates: list = field(default_factory=list)
 
     def append(self, timestep, cm):
-        per_class = [metrics.per_class_prf(cm, c).f1 for c in range(cm.k)]
-        self.rows.append(
-            (
-                timestep,
-                metrics.accuracy(cm),
-                metrics.aggregate_f1(cm, "macro"),
-                metrics.aggregate_f1(cm, "weighted"),
-                *per_class,
-            )
-        )
+        self.rows.append((timestep, *metrics.scores(cm)))
 
     def to_csv(self, k):
-        header = "timestep,accuracy,f1_macro,f1_weighted," + ",".join(
-            f"f1_class{c}" for c in range(k)
-        )
-        lines = [header]
+        lines = ["timestep," + metrics.score_header(k)]
         for row in self.rows:
-            lines.append(
-                ",".join([str(row[0])] + [f"{v:.6f}" for v in row[1:]])
-            )
+            lines.append(",".join([str(row[0])] + [f"{v:.6f}" for v in row[1:]]))
         return "\n".join(lines) + "\n"
 
     def updates_csv(self):
@@ -395,7 +371,7 @@ def evaluate(policy, encoded_data, mode):
         raise ValueError(
             f"data dim {encoded_data.matrix.shape[1]} != policy obs dim {policy.obs_dim}"
         )
-    probs = policy.action_probs(encoded_data.matrix)
+    probs, _, _ = policy.forward(encoded_data.matrix)
     pred = np.argmax(probs, axis=1)
     truth, k = ds.task_labels(encoded_data.labels, mode)
     return metrics.confusion(pred, truth, k)

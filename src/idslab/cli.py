@@ -106,16 +106,23 @@ def load_config(args):
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
         try:
-            _deep_update(config, json.loads(path.read_text()))
+            loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ValidationError(f"config file {path} must hold a JSON object, got {loaded!r}")
+        _deep_update(config, loaded)
     if getattr(args, "paper_scale", False):
         _deep_update(config, copy.deepcopy(PAPER_SCALE))
     for expr in args.set or []:
         keys, value = _parse_set(expr)
         node = config
-        for key in keys[:-1]:
+        for depth, key in enumerate(keys[:-1], start=1):
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ValidationError(
+                    f"cannot set {'.'.join(keys)}: {'.'.join(keys[:depth])} is not an object"
+                )
         node[keys[-1]] = value
     data_dir = os.environ.get("IDSLAB_DATA_DIR")
     if config["train_path"] is None and data_dir:
@@ -224,9 +231,10 @@ def stage_preprocess(config):
     test_labels = ds.labels_for(test_records)
     transformer = ds.fit_transformer(train_records)
     (out / "transformer.json").write_text(transformer.to_json())
-    ds.encode_dataset(train_records, train_labels, transformer).save(out / "train.npz")
-    ds.encode_dataset(test_records, test_labels, transformer).save(out / "test.npz")
-    counts = ds.class_histogram(train_labels) + ds.class_histogram(test_labels)
+    for name, records, labels in (("train", train_records, train_labels),
+                                  ("test", test_records, test_labels)):
+        ds.EncodedDataset(transformer.encode_matrix(records), labels).save(out / f"{name}.npz")
+    counts = np.bincount(np.concatenate([train_labels, test_labels]), minlength=ds.N_CLASSES)
     lines = ["class,symbol,count"]
     for cid, count in enumerate(counts):
         lines.append(f"{ds.CLASS_NAMES[cid]},{ds.CLASS_SYMBOLS[cid]},{count}")
@@ -266,7 +274,7 @@ def stage_gan_sample(config):
         records = gan.sample_conditional(
             model, cls, config["rows_per_class"], seed=config["seed"] + 200 + cls
         )
-        conditional.extend((rec, ds.ClassLabel(cls)) for rec in records)
+        conditional.extend((rec, cls) for rec in records)
     gan.export_synthetic(conditional, out / "synthetic_wgan_conditional.csv")
     print(
         f"gan-sample: {len(rows)} unconditional rows, "
@@ -295,7 +303,7 @@ def stage_gan_eval(config):
         rng = np.random.default_rng(config["seed"])
         idx = rng.choice(len(train_records), size=cap, replace=False)
         train_records = [train_records[i] for i in idx]
-        train_labels = [train_labels[i] for i in idx]
+        train_labels = train_labels[idx]
     lines = ["dataset,cstest,kstest,kstest_extended,detection"]
     for source in ("wgan", "wgan-conditional"):
         records, labels = _load_synthetic(config, source)
@@ -314,7 +322,7 @@ def _training_set(config):
         return _load_encoded(config, "train")
     transformer = _load_transformer(config)
     records, labels = _load_synthetic(config, source)
-    return ds.encode_dataset(records, labels, transformer)
+    return ds.EncodedDataset(transformer.encode_matrix(records), labels)
 
 
 def _tag(config):
@@ -387,9 +395,7 @@ def stage_baselines(config):
 
 def stage_report(config):
     out = _out(config)
-    header = "dataset,model,accuracy,f1_macro,f1_weighted," + ",".join(
-        f"f1_class{c}" for c in range(5 if config["mode"] == "multiclass" else 2)
-    )
+    header = "dataset,model," + metrics.score_header(5 if config["mode"] == "multiclass" else 2)
     rows = []
     for path in sorted(out.glob(f"row_*_{config['mode']}_*.csv")):
         rows.append(path.read_text().strip())

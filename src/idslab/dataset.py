@@ -9,17 +9,18 @@ optional log1p transform for the heavy-tailed byte/duration counters.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
 __all__ = [
     "FeatureSpec",
     "RawRecord",
-    "ClassLabel",
     "Transformer",
     "EncodedDataset",
     "ParseError",
@@ -31,8 +32,8 @@ __all__ = [
     "parse_kdd",
     "load_attack_map",
     "map_attack_to_class",
+    "labels_for",
     "fit_transformer",
-    "class_histogram",
     "task_labels",
 ]
 
@@ -130,29 +131,6 @@ _F20_RAW_INDEX = 19
 
 
 @dataclass(frozen=True)
-class ClassLabel:
-    id: int
-
-    def __post_init__(self):
-        if not 0 <= self.id < N_CLASSES:
-            raise ValueError(f"class id out of range: {self.id}")
-
-    @property
-    def name(self):
-        return CLASS_NAMES[self.id]
-
-    @property
-    def symbol(self):
-        return CLASS_SYMBOLS[self.id]
-
-    @classmethod
-    def from_symbol(cls, symbol):
-        if symbol not in _SYMBOL_TO_ID:
-            raise ValueError(f"unknown class symbol: {symbol!r}")
-        return cls(_SYMBOL_TO_ID[symbol])
-
-
-@dataclass(frozen=True)
 class RawRecord:
     """One flow record: 40 feature values after F20 removal, plus label info."""
 
@@ -215,50 +193,31 @@ def parse_kdd_file(path):
         return parse_kdd(fh)
 
 
-def load_attack_map(path=None):
-    """Load the attack_name -> ClassLabel map (shipped file by default)."""
-    if path is None:
-        text = resources.files("idslab").joinpath("data/attack_map.csv").read_text()
-        rows = list(csv.DictReader(text.splitlines()))
-    else:
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+@functools.cache
+def load_attack_map():
+    """The shipped attack_name -> class id map (read-only: callers share it)."""
+    text = resources.files("idslab").joinpath("data/attack_map.csv").read_text()
     mapping = {}
-    for row in rows:
-        mapping[row["attack_name"]] = ClassLabel.from_symbol(row["class_symbol"])
-    return mapping
+    for row in csv.DictReader(text.splitlines()):
+        if row["class_symbol"] not in _SYMBOL_TO_ID:
+            raise ValueError(f"unknown class symbol: {row['class_symbol']!r}")
+        mapping[row["attack_name"]] = _SYMBOL_TO_ID[row["class_symbol"]]
+    return MappingProxyType(mapping)
 
 
-_DEFAULT_MAP = None
-
-
-def _default_map():
-    global _DEFAULT_MAP
-    if _DEFAULT_MAP is None:
-        _DEFAULT_MAP = load_attack_map()
-    return _DEFAULT_MAP
-
-
-def map_attack_to_class(attack_name, mapping=None):
-    """Map a raw attack name (or class symbol) to its 5-class label."""
-    mapping = mapping if mapping is not None else _default_map()
+def map_attack_to_class(attack_name):
+    """Class id of a raw attack name (or of a class symbol)."""
+    mapping = load_attack_map()
     if attack_name in mapping:
         return mapping[attack_name]
     if attack_name in _SYMBOL_TO_ID:  # synthetic exports carry symbols
-        return ClassLabel(_SYMBOL_TO_ID[attack_name])
+        return _SYMBOL_TO_ID[attack_name]
     raise UnknownAttackError(attack_name)
 
 
-def labels_for(records, mapping=None):
-    return [map_attack_to_class(r.attack_name, mapping) for r in records]
-
-
-def class_histogram(labels):
-    """Per-class record counts, index = class id."""
-    counts = np.zeros(N_CLASSES, dtype=np.int64)
-    for lab in labels:
-        counts[lab.id] += 1
-    return counts
+def labels_for(records):
+    """Class ids of the records, as an int64 array."""
+    return np.array([map_attack_to_class(r.attack_name) for r in records], dtype=np.int64)
 
 
 def task_labels(labels, mode):
@@ -396,13 +355,13 @@ class Transformer:
         return cls(specs=specs, mins=np.array(obj["mins"]), maxs=np.array(obj["maxs"]))
 
 
-def fit_transformer(records, schema=FEATURE_SCHEMA):
+def fit_transformer(records):
     """Fit category vocabularies and continuous ranges from training records."""
     if not records:
         raise ValueError("cannot fit transformer on empty record list")
     specs = []
     mins, maxs = [], []
-    for col, spec in enumerate(schema):
+    for col, spec in enumerate(FEATURE_SCHEMA):
         column = [r.values[col] for r in records]
         if spec.kind == CATEGORICAL:
             cats = tuple(sorted(set(column)))
@@ -446,8 +405,3 @@ class EncodedDataset:
         with np.load(path) as z:
             return cls(matrix=z["matrix"], labels=z["labels"])
 
-
-def encode_dataset(records, labels, transformer):
-    matrix = transformer.encode_matrix(records)
-    ids = np.array([lab.id for lab in labels], dtype=np.int64)
-    return EncodedDataset(matrix=matrix, labels=ids)

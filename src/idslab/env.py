@@ -10,8 +10,7 @@ whatever the action was.  So one vector core serves a whole rollout:
 `draw(n)` picks n record indices at once, and `score(indices, actions)`
 looks every reward up in the one 5 x k table built from `reward()` and
 computes the dones with a per-episode step counter that carries over from
-one call to the next.  `reset()`/`step()` are single-record wrappers over
-that core.
+one call to the next, so a rollout may be scored in pieces.
 """
 
 from __future__ import annotations
@@ -23,36 +22,16 @@ import numpy as np
 from .dataset import N_CLASSES
 
 __all__ = [
-    "IdsMode",
     "EnvConfig",
-    "StepResult",
     "IdsEnv",
     "reward",
     "reward_table",
-    "EpisodeDoneError",
 ]
 
 BINARY = "binary"
 MULTICLASS = "multiclass"
 
 _ACTION_COUNT = {BINARY: 2, MULTICLASS: 5}
-
-
-class EpisodeDoneError(RuntimeError):
-    """step() called after the episode terminated."""
-
-
-@dataclass(frozen=True)
-class IdsMode:
-    name: str
-
-    def __post_init__(self):
-        if self.name not in _ACTION_COUNT:
-            raise ValueError(f"unknown mode: {self.name!r}")
-
-    @property
-    def action_count(self):
-        return _ACTION_COUNT[self.name]
 
 
 @dataclass(frozen=True)
@@ -62,17 +41,10 @@ class EnvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        IdsMode(self.mode)  # validates
+        if self.mode not in _ACTION_COUNT:
+            raise ValueError(f"unknown mode: {self.mode!r}")
         if self.episode_cap < 1:
             raise ValueError("episode_cap must be >= 1")
-
-
-@dataclass(frozen=True)
-class StepResult:
-    next_state: np.ndarray
-    reward: int
-    done: bool
-    info: int  # true class id of the record just scored
 
 
 def reward(true_class_id, action, mode):
@@ -105,19 +77,16 @@ def reward_table(mode):
 
 
 class IdsEnv:
-    """Single-consumer episode state machine over an encoded dataset."""
+    """Episode stream over an encoded dataset, scored a batch of steps at a time."""
 
     def __init__(self, data, config):
         if len(data) == 0:
             raise ValueError("environment needs a nonempty dataset")
         self.data = data
         self.config = config
-        self.mode = IdsMode(config.mode)
         self._rewards = reward_table(config.mode)
         self._rng = np.random.default_rng(config.seed)
         self._step_count = 0  # steps taken in the running episode
-        self._current = None  # index of the record step() scores next
-        self._done = True
 
     @property
     def observation_dim(self):
@@ -125,21 +94,18 @@ class IdsEnv:
 
     @property
     def action_count(self):
-        return self.mode.action_count
+        return _ACTION_COUNT[self.config.mode]
 
     def draw(self, n):
         """n record indices drawn uniformly with replacement."""
         return self._rng.integers(0, len(self.data), size=n)
-
-    def _true_class(self, index):
-        return int(self.data.labels[index])
 
     def score(self, indices, actions):
         """(rewards, dones) for taking actions[t] on record indices[t].
 
         The records form one stream of steps that continues the running
         episode; a done step ends its episode and the next step starts a
-        new one, as after reset().
+        new one.
         """
         actions = np.asarray(actions)
         if actions.size and (actions.min() < 0 or actions.max() >= self.action_count):
@@ -158,25 +124,3 @@ class IdsEnv:
         if actions.size:
             self._step_count = 0 if dones[-1] else int(count[-1])
         return self._rewards[true, actions], dones
-
-    def reset(self):
-        self._step_count = 0
-        self._done = False
-        self._current = int(self.draw(1)[0])
-        return self.data.matrix[self._current]
-
-    def step(self, action):
-        if self._done:
-            raise EpisodeDoneError("episode is over; call reset()")
-        index = self._current
-        rewards, dones = self.score([index], [action])
-        self._done = bool(dones[0])
-        # terminal observation is still a freshly drawn record; trainers
-        # must mask bootstrapping on done
-        self._current = int(self.draw(1)[0])
-        return StepResult(
-            next_state=self.data.matrix[self._current],
-            reward=int(rewards[0]),
-            done=self._done,
-            info=self._true_class(index),
-        )

@@ -9,6 +9,9 @@ Continuous outputs go through a sigmoid, categorical groups through
 Gumbel-softmax (soft samples to the critic while training, argmax at
 sampling time).  Both networks train with RMSProp; critic weights are
 clipped to +/-weight_clip after every critic step.
+
+Labels are plain class ids: `sample_unconditional` returns (RawRecord,
+class id) pairs, and `export_synthetic` writes each id's class symbol.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import CLASS_NAMES, ClassLabel, N_CLASSES, Transformer, _F20_RAW_INDEX
+from .dataset import CLASS_NAMES, CLASS_SYMBOLS, N_CLASSES, Transformer, _F20_RAW_INDEX
 
 __all__ = [
     "GanConfig",
@@ -261,7 +264,7 @@ def _generated_label_ids(model, vectors):
 def sample_unconditional(model, n, seed=0):
     """n rows with conditions drawn from the empirical class distribution.
 
-    Returns a list of (RawRecord, ClassLabel); the label is the condition.
+    Returns a list of (RawRecord, class id); the class is the condition.
     """
     rng = np.random.default_rng(seed)
     if n == 0:
@@ -272,7 +275,7 @@ def sample_unconditional(model, n, seed=0):
         chunk = conditions[start : start + 2000]
         vectors = _generate_hard(model, chunk, rng)
         records = _decode_rows(model, vectors)
-        out.extend((rec, ClassLabel(int(c))) for rec, c in zip(records, chunk))
+        out.extend(zip(records, chunk.tolist()))
     return out
 
 
@@ -309,7 +312,7 @@ def _format_value(value):
 
 
 def export_synthetic(rows, path):
-    """Write (RawRecord, ClassLabel) rows as NSL-KDD-format CSV.
+    """Write (RawRecord, class id) rows as NSL-KDD-format CSV.
 
     The constant num_outbound_cmds column is re-inserted as 0 so the file
     has the standard 41 feature columns; the label slot holds the class
@@ -319,5 +322,5 @@ def export_synthetic(rows, path):
         for record, label in rows:
             fields = [_format_value(v) for v in record.values]
             fields.insert(_F20_RAW_INDEX, "0")
-            fields.append(label.symbol)
+            fields.append(CLASS_SYMBOLS[label])
             fh.write(",".join(fields) + "\n")

@@ -18,6 +18,8 @@ __all__ = [
     "accuracy",
     "per_class_prf",
     "aggregate_f1",
+    "scores",
+    "score_header",
     "report_row",
 ]
 
@@ -102,15 +104,17 @@ def aggregate_f1(cm, weighting="macro"):
     raise ValueError(f"unknown weighting: {weighting!r}")
 
 
+def scores(cm):
+    """(accuracy, macro F1, weighted F1, per-class F1...) of one matrix."""
+    per_class = (per_class_prf(cm, c).f1 for c in range(cm.k))
+    return (accuracy(cm), aggregate_f1(cm, "macro"), aggregate_f1(cm, "weighted"), *per_class)
+
+
+def score_header(k):
+    """CSV column names of scores() for k classes."""
+    return ",".join(["accuracy", "f1_macro", "f1_weighted"] + [f"f1_class{c}" for c in range(k)])
+
+
 def report_row(dataset, model, cm):
     """One performance-report CSV row: dataset,model,accuracy,f1s..."""
-    per_class = [per_class_prf(cm, c).f1 for c in range(cm.k)]
-    cells = [
-        dataset,
-        model,
-        f"{accuracy(cm):.4f}",
-        f"{aggregate_f1(cm, 'macro'):.4f}",
-        f"{aggregate_f1(cm, 'weighted'):.4f}",
-        *(f"{f:.4f}" for f in per_class),
-    ]
-    return ",".join(cells)
+    return ",".join([dataset, model, *(f"{v:.4f}" for v in scores(cm))])

@@ -57,7 +57,7 @@ class FidelityReport:
 
 
 def records_to_table(records, labels):
-    """Column view of raw records plus the class-symbol column."""
+    """Column view of raw records plus the class-symbol column of the class ids."""
     table = {}
     for col, spec in enumerate(ds.FEATURE_SCHEMA):
         values = [r.values[col] for r in records]
@@ -65,7 +65,7 @@ def records_to_table(records, labels):
             table[spec.name] = np.array(values, dtype=object)
         else:
             table[spec.name] = np.array(values, dtype=np.float64)
-    table["class"] = np.array([lab.symbol for lab in labels], dtype=object)
+    table["class"] = np.array(ds.CLASS_SYMBOLS, dtype=object)[np.asarray(labels, dtype=np.int64)]
     return table
 
 

@@ -55,15 +55,15 @@ def real_encoded():
         train = ds.parse_kdd_file(root / "KDDTrain+.txt")
         test = ds.parse_kdd_file(root / "KDDTest+.txt")
         t = ds.fit_transformer(train)
-        train_enc = ds.encode_dataset(train, ds.labels_for(train), t)
-        test_enc = ds.encode_dataset(test, ds.labels_for(test), t)
+        train_enc = ds.EncodedDataset(t.encode_matrix(train), ds.labels_for(train))
+        test_enc = ds.EncodedDataset(t.encode_matrix(test), ds.labels_for(test))
         _cache["encoded"] = (t, train, test, train_enc, test_enc)
     return _cache["encoded"]
 
 
 def stratified_split(records, labels, fraction, seed):
     """Two disjoint stratified index sets, each `fraction` of the data."""
-    ids = np.array([l.id for l in labels])
+    ids = np.asarray(labels)
     rng = np.random.default_rng(seed)
     first, second = [], []
     for c in range(ds.N_CLASSES):
@@ -231,15 +231,12 @@ def test_criterion_4_reward_table():
     # a one-attack-record dataset: silence ends the episode immediately
     data = ds.EncodedDataset(matrix=np.zeros((1, 3)), labels=np.array([1]))
     env_ = ids_env.IdsEnv(data, ids_env.EnvConfig(mode="binary", episode_cap=50, seed=0))
-    env_.reset()
-    ok &= env_.step(0).done
+    ok &= bool(env_.score([0], [0])[1][0])
     # an all-normal dataset: correct silence runs to the cap
     data = ds.EncodedDataset(matrix=np.zeros((1, 3)), labels=np.array([0]))
     env_ = ids_env.IdsEnv(data, ids_env.EnvConfig(mode="binary", episode_cap=50, seed=0))
-    env_.reset()
-    for i in range(50):
-        result = env_.step(0)
-        ok &= result.done == (i == 49)
+    _, dones = env_.score(np.zeros(50, dtype=np.int64), np.zeros(50, dtype=np.int64))
+    ok &= np.flatnonzero(dones).tolist() == [49]
     conclude(4, desc, bool(ok))
 
 
@@ -252,9 +249,8 @@ def test_criterion_5_dataset_integrity():
     desc = "record counts 125,973/22,544 and combined class counts"
     skip_without_data(5, desc)
     _, train, test, _, _ = real_encoded()
-    counts = ds.class_histogram(ds.labels_for(train)) + ds.class_histogram(
-        ds.labels_for(test)
-    )
+    labels = np.concatenate([ds.labels_for(train), ds.labels_for(test)])
+    counts = np.bincount(labels, minlength=ds.N_CLASSES)
     got = {ds.CLASS_NAMES[c]: int(counts[c]) for c in range(ds.N_CLASSES)}
     ok = len(train) == 125_973 and len(test) == 22_544 and got == TABLE_II
     conclude(5, desc, ok, f"train {len(train)}, test {len(test)}, counts {got}")
@@ -267,7 +263,7 @@ def test_criterion_6_gan_fidelity():
     labels = ds.labels_for(train)
     model, fit_idx, hold_idx = desk_gan()
     holdout = [train[i] for i in hold_idx]
-    holdout_labels = [labels[i] for i in hold_idx]
+    holdout_labels = labels[hold_idx]
     rows = gan.sample_unconditional(model, len(holdout), seed=1)
     synth_records = [r for r, _ in rows]
     synth_labels = [l for _, l in rows]
@@ -333,10 +329,8 @@ def test_criterion_9_minority_uplift():
     rows = []
     for cls in range(ds.N_CLASSES):
         records = gan.sample_conditional(model, cls, 2_000, seed=10 + cls)
-        rows.extend((rec, ds.ClassLabel(cls)) for rec in records)
-    synth_enc = ds.encode_dataset(
-        [r for r, _ in rows], [l for _, l in rows], t
-    )
+        rows.extend((rec, cls) for rec in records)
+    synth_enc = ds.EncodedDataset(t.encode_matrix([r for r, _ in rows]), [l for _, l in rows])
     real_r2l = max(metrics.per_class_prf(cm, 3).f1 for cm in real_multiclass_runs())
     best_r2l, best_u2r = 0.0, 0.0
     for seed in range(3):

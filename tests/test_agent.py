@@ -195,10 +195,10 @@ class TestPpoLoss:
     def test_log_probs_finite(self):
         policy = agent.PolicyNet(4, 2, seed=10)
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            action, logp, value = policy.act(rng.normal(size=4), rng)
-            assert np.isfinite(logp) and np.isfinite(value)
-            assert action in (0, 1)
+        probs, values, _ = policy.forward(rng.normal(size=(20, 4)))
+        actions, log_probs = agent.sample_actions(probs, rng)
+        assert np.isfinite(log_probs).all() and np.isfinite(values).all()
+        assert set(actions.tolist()) <= {0, 1}
 
 
 class _FixedUniform:
@@ -242,17 +242,21 @@ class TestSampleActions:
 
     def test_act_returns_one_sample(self):
         policy = agent.PolicyNet(4, 3, seed=14)
-        action, logp, value = policy.act(np.zeros(4), np.random.default_rng(15))
-        probs, values, _ = policy.forward(np.zeros(4))
-        assert action in (0, 1, 2)
-        assert logp == pytest.approx(np.log(probs[0, action]))
-        assert value == pytest.approx(values[0])
+        probs, _, _ = policy.forward(np.zeros((1, 4)))
+        actions, log_probs = agent.sample_actions(probs, np.random.default_rng(15))
+        assert actions.shape == (1,) and actions[0] in (0, 1, 2)
+        assert log_probs[0] == pytest.approx(np.log(probs[0, actions[0]]))
+
+    def test_forward_rejects_a_single_observation(self):
+        policy = agent.PolicyNet(4, 3, seed=14)
+        with pytest.raises(ValueError, match="2-D batch"):
+            policy.forward(np.zeros(4))
 
 
 def toy_env(mode="binary", n=800, seed=0, episode_cap=1000):
     records, labels = make_surrogate_records(n, seed=seed)
     t = ds.fit_transformer(records)
-    data = ds.encode_dataset(records, labels, t)
+    data = ds.EncodedDataset(t.encode_matrix(records), labels)
     env = ids_env.IdsEnv(data, ids_env.EnvConfig(mode=mode, episode_cap=episode_cap, seed=seed))
     return env, data, t
 

@@ -50,6 +50,11 @@ class TestValidation:
     def test_missing_config_file(self, workdir):
         assert run(["preprocess", "--config", "nope.json"]) == cli.EXIT_VALIDATION
 
+    def test_config_file_not_an_object(self, workdir, capsys):
+        (workdir / "list.json").write_text("[1]")
+        assert run(["preprocess", "--config", "list.json"]) == cli.EXIT_VALIDATION
+        assert "list.json" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -69,6 +74,8 @@ class TestValidation:
             "ppo.learning_rate=-1.0",  # would train by gradient ascent
             "ppo.value_coef=-1.0",  # would maximise the value error
             "ppo.entropy_coef=-5.0",
+            "seed.x=1",  # descends into a number
+            "env.episode_cap.x=3",
         ],
     )
     def test_bad_value_fails_before_any_stage(self, workdir, override):

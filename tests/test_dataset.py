@@ -53,13 +53,13 @@ class TestParse:
 
 class TestAttackMap:
     def test_normal(self):
-        assert ds.map_attack_to_class("normal").id == 0
+        assert ds.map_attack_to_class("normal") == 0
 
     def test_known_attacks(self):
-        assert ds.map_attack_to_class("neptune").id == 1
-        assert ds.map_attack_to_class("satan").id == 2
-        assert ds.map_attack_to_class("guess_passwd").id == 3
-        assert ds.map_attack_to_class("rootkit").id == 4
+        assert ds.map_attack_to_class("neptune") == 1
+        assert ds.map_attack_to_class("satan") == 2
+        assert ds.map_attack_to_class("guess_passwd") == 3
+        assert ds.map_attack_to_class("rootkit") == 4
 
     def test_unknown_raises(self):
         with pytest.raises(ds.UnknownAttackError):
@@ -68,13 +68,30 @@ class TestAttackMap:
     def test_symbols_accepted(self):
         # synthetic exports carry class symbols in the label slot
         for cid, symbol in enumerate(ds.CLASS_SYMBOLS):
-            assert ds.map_attack_to_class(symbol).id == cid
+            assert ds.map_attack_to_class(symbol) == cid
 
-    def test_class_label_bijection(self):
-        for cid, symbol in enumerate(["N", "D", "P", "R", "U"]):
-            lab = ds.ClassLabel(cid)
-            assert lab.symbol == symbol
-            assert ds.ClassLabel.from_symbol(symbol).id == cid
+    def test_labels_for_matches_per_record_lookup(self):
+        records, _ = make_surrogate_records(200, seed=3)
+        mapping = ds.load_attack_map()
+        labels = ds.labels_for(records)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [mapping[r.attack_name] for r in records]
+
+    def test_unknown_symbol_in_map_file(self, monkeypatch):
+        class Shipped:
+            def joinpath(self, name):
+                return self
+
+            def read_text(self):
+                return "attack_name,class_symbol\nneptune,D\nodd,X\n"
+
+        monkeypatch.setattr(ds.resources, "files", lambda package: Shipped())
+        ds.load_attack_map.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="'X'"):
+                ds.load_attack_map()
+        finally:
+            ds.load_attack_map.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -258,11 +275,12 @@ def test_codec_roundtrip_property(records):
 class TestHistogramAndBinary:
     def test_histogram_sums(self):
         records, labels = make_surrogate_records(300, seed=2)
-        counts = ds.class_histogram(labels)
+        counts = np.bincount(labels, minlength=ds.N_CLASSES)
         assert counts.sum() == 300
 
     def test_empty_histogram(self):
-        assert np.array_equal(ds.class_histogram([]), np.zeros(5, dtype=np.int64))
+        counts = np.bincount(ds.labels_for([]), minlength=ds.N_CLASSES)
+        assert np.array_equal(counts, np.zeros(5, dtype=np.int64))
 
     def test_to_binary(self):
         y, k = ds.task_labels(np.arange(5), "binary")
@@ -280,7 +298,7 @@ class TestEncodedDataset:
     def test_save_load_roundtrip(self, tmp_path):
         records, labels = make_surrogate_records(80, seed=4)
         t = ds.fit_transformer(records)
-        data = ds.encode_dataset(records, labels, t)
+        data = ds.EncodedDataset(t.encode_matrix(records), labels)
         path = tmp_path / "enc.npz"
         data.save(path)
         back = ds.EncodedDataset.load(path)
@@ -297,8 +315,8 @@ class TestRealData:
 
     def test_table_class_counts(self, real_data):
         train, test = real_data
-        labels = ds.labels_for(train) + ds.labels_for(test)
-        counts = ds.class_histogram(labels)
+        labels = np.concatenate([ds.labels_for(train), ds.labels_for(test)])
+        counts = np.bincount(labels, minlength=ds.N_CLASSES)
         assert counts.tolist() == [77_054, 53_387, 14_077, 3_880, 119]
 
     def test_protocol_vocabulary(self, real_data):

@@ -10,9 +10,26 @@ from conftest import make_surrogate_records
 def make_env(n=200, mode="binary", episode_cap=1000, seed=0, data_seed=1):
     records, labels = make_surrogate_records(n, seed=data_seed)
     t = ds.fit_transformer(records)
-    data = ds.encode_dataset(records, labels, t)
+    data = ds.EncodedDataset(t.encode_matrix(records), labels)
     config = ids_env.EnvConfig(mode=mode, episode_cap=episode_cap, seed=seed)
     return ids_env.IdsEnv(data, config), data
+
+
+# index i of this dataset holds a record of class i
+_ONE_PER_CLASS = ds.EncodedDataset(matrix=np.zeros((5, 2)), labels=np.arange(5))
+
+
+def step_replay(labels, indices, actions, episode_cap):
+    """Plain-Python reference: the dones of scoring the records one step at
+    a time, and the running episode's step count after the last step."""
+    dones, count = [], 0
+    for index, action in zip(indices, actions):
+        count += 1
+        done = (labels[index] != 0 and action == 0) or count == episode_cap
+        dones.append(bool(done))
+        if done:
+            count = 0
+    return dones, count
 
 
 # Expected reward tables, exhaustive: reward[true_class][action]
@@ -69,15 +86,16 @@ class TestConfig:
             ids_env.EnvConfig(episode_cap=0)
 
     def test_action_counts(self):
-        assert ids_env.IdsMode("binary").action_count == 2
-        assert ids_env.IdsMode("multiclass").action_count == 5
+        for mode, k in (("binary", 2), ("multiclass", 5)):
+            assert ids_env.IdsEnv(_ONE_PER_CLASS, ids_env.EnvConfig(mode=mode)).action_count == k
 
 
 class TestEpisodes:
-    def test_reset_state_shape(self):
+    def test_state_shape(self):
         env, data = make_env()
-        state = env.reset()
-        assert state.shape == (data.matrix.shape[1],)
+        states = data.matrix[env.draw(10)]
+        assert env.observation_dim == data.matrix.shape[1]
+        assert states.shape == (10, env.observation_dim)
 
     def test_empty_dataset(self):
         data = ds.EncodedDataset(matrix=np.zeros((0, 4)), labels=np.zeros(0))
@@ -86,106 +104,59 @@ class TestEpisodes:
 
     def test_cap_one_ends_immediately(self):
         env, _ = make_env(episode_cap=1)
-        env.reset()
-        result = env.step(1)
-        assert result.done
+        _, dones = env.score(env.draw(20), np.ones(20, dtype=np.int64))
+        assert dones.all()
 
     def test_missed_attack_terminates(self):
         env, data = make_env(mode="binary", seed=3)
-        env.reset()
-        # silence every step: episode must end at the first attack record
-        for _ in range(env.config.episode_cap):
-            true = env._true_class(env._current)
-            result = env.step(0)
-            if true != 0:
-                assert result.done and result.reward == -1
-                break
-            assert result.reward == 0
-        else:
+        # silence every step: the episode must end at the first attack record
+        indices = env.draw(env.config.episode_cap)
+        rewards, dones = env.score(indices, np.zeros(indices.size, dtype=np.int64))
+        attacks = np.flatnonzero(data.labels[indices] != 0)
+        if not attacks.size:
             pytest.fail("no attack drawn within the cap")
+        first = attacks[0]
+        assert dones[first] and rewards[first] == -1
+        assert not dones[:first].any() and (rewards[:first] == 0).all()
 
-    def test_step_after_done_raises(self):
+    def test_new_episode_after_done(self):
         env, _ = make_env(episode_cap=1)
-        env.reset()
-        env.step(0)
-        with pytest.raises(ids_env.EpisodeDoneError):
-            env.step(0)
-
-    def test_reset_after_done(self):
-        env, _ = make_env(episode_cap=1)
-        env.reset()
-        env.step(1)
-        state = env.reset()
-        assert state is not None
-        env.step(1)  # fresh episode works
+        _, first = env.score(env.draw(1), [1])
+        _, second = env.score(env.draw(1), [1])  # a fresh episode, ended by the cap
+        assert first[0] and second[0]
 
     def test_episode_length_bounded(self):
         env, _ = make_env(mode="binary", episode_cap=50, seed=4)
-        env.reset()
-        steps = 0
-        for _ in range(env.config.episode_cap + 1):
-            result = env.step(1)  # always alert: never misses an attack
-            steps += 1
-            if result.done:
-                break
-        else:
-            pytest.fail("no step ended the episode")
-        assert steps == 50  # only the cap can end an always-alert episode
+        cap = env.config.episode_cap
+        # always alert: never misses an attack, so only the cap ends the episode
+        _, dones = env.score(env.draw(cap + 1), np.ones(cap + 1, dtype=np.int64))
+        assert np.flatnonzero(dones).tolist() == [49]
 
     def test_oracle_policy_cumulative_reward(self):
         # always-correct policy: cumulative reward = number of attacks seen
         env, data = make_env(mode="multiclass", episode_cap=10_000, seed=5)
-        env.reset()
-        total = 0
-        attacks = 0
-        for _ in range(10_000):
-            true = env._true_class(env._current)
-            attacks += true != 0
-            result = env.step(true)
-            total += result.reward
-            assert not result.done or result is not None
-            if result.done and env._step_count >= 10_000:
-                break
-        assert total == attacks
+        indices = env.draw(10_000)
+        true = data.labels[indices]
+        rewards, dones = env.score(indices, true)
+        assert rewards.sum() == (true != 0).sum()
+        assert np.flatnonzero(dones).tolist() == [9_999]
 
     def test_determinism_per_seed(self):
         results = []
         for _ in range(2):
             env, _ = make_env(mode="binary", seed=12)
-            env.reset()
-            rewards = []
-            for i in range(300):
-                result = env.step(i % 2)
-                rewards.append(result.reward)
-                if result.done:
-                    env.reset()
-            results.append(rewards)
+            indices = env.draw(300)
+            rewards, dones = env.score(indices, np.arange(300) % 2)
+            results.append((indices.tolist(), rewards.tolist(), dones.tolist()))
         assert results[0] == results[1]
 
     def test_reward_independent_of_future_draws(self):
-        # the reward scores the current record; drawing happens after
+        # the reward scores the given record; later draws do not change it
         env, data = make_env(mode="binary", seed=6)
-        env.reset()
-        current = env._current
-        expected = ids_env.reward(int(data.labels[current]), 1, "binary")
-        assert env.step(1).reward == expected
-
-    def test_info_is_true_label(self):
-        env, data = make_env(seed=7)
-        env.reset()
-        current = env._current
-        assert env.step(1).info == int(data.labels[current])
-
-
-def step_replay(env, indices, actions):
-    """Dones of step() on the given records, resetting after each done."""
-    dones = []
-    for index, action in zip(indices, actions):
-        if env._done:
-            env.reset()
-        env._current = int(index)  # score this record instead of the drawn one
-        dones.append(env.step(int(action)).done)
-    return dones
+        index = env.draw(1)
+        env.draw(100)
+        expected = ids_env.reward(int(data.labels[index[0]]), 1, "binary")
+        assert env.score(index, [1])[0].tolist() == [expected]
 
 
 class TestVectorCore:
@@ -203,11 +174,10 @@ class TestVectorCore:
     @pytest.mark.parametrize("episode_cap", [1, 7, 1000])
     def test_dones_match_step_replay(self, mode, episode_cap):
         batched, data = make_env(mode=mode, episode_cap=episode_cap, seed=9)
-        stepped, _ = make_env(mode=mode, episode_cap=episode_cap, seed=9)
         rng = np.random.default_rng(episode_cap)
         indices = rng.integers(0, len(data), 400)
         actions = rng.integers(0, batched.action_count, 400)
-        expected = step_replay(stepped, indices, actions)
+        expected, count = step_replay(data.labels, indices, actions, episode_cap)
         missed = (data.labels[indices] != 0) & (actions == 0)
         assert missed.any()
         # split where an episode is running, so it crosses into the second call
@@ -217,7 +187,7 @@ class TestVectorCore:
         _, first = batched.score(indices[:split], actions[:split])
         _, second = batched.score(indices[split:], actions[split:])
         assert np.concatenate([first, second]).tolist() == expected
-        assert batched._step_count == stepped._step_count
+        assert batched._step_count == count
 
     def test_cap_counts_across_calls(self):
         # all-normal data, correct silence: only the cap ends an episode
@@ -241,10 +211,6 @@ class TestVectorCore:
         assert indices.min() >= 0 and indices.max() < len(data)
 
 
-# index i of this dataset holds a record of class i
-_ONE_PER_CLASS = ds.EncodedDataset(matrix=np.zeros((5, 2)), labels=np.arange(5))
-
-
 @settings(database=None, deadline=None)
 @given(
     mode=st.sampled_from(["binary", "multiclass"]),
@@ -252,17 +218,16 @@ _ONE_PER_CLASS = ds.EncodedDataset(matrix=np.zeros((5, 2)), labels=np.arange(5))
     episode_cap=st.integers(1, 12),
 )
 def test_reward_table_property(mode, cells, episode_cap):
-    k = ids_env.IdsMode(mode).action_count
+    env = ids_env.IdsEnv(_ONE_PER_CLASS, ids_env.EnvConfig(mode=mode, episode_cap=episode_cap))
+    k = env.action_count
     classes = [c for c, _ in cells]
     actions = [a % k for _, a in cells]
     table = ids_env.reward_table(mode)
     assert table.shape == (5, k)
     assert all(table[c, a] == ids_env.reward(c, a, mode) for c in range(5) for a in range(k))
 
-    config = ids_env.EnvConfig(mode=mode, episode_cap=episode_cap)
-    env = ids_env.IdsEnv(_ONE_PER_CLASS, config)
     rewards, dones = env.score(classes, actions)
     assert rewards.tolist() == [ids_env.reward(c, a, mode) for c, a in zip(classes, actions)]
-    stepped = ids_env.IdsEnv(_ONE_PER_CLASS, config)
-    assert dones.tolist() == step_replay(stepped, classes, actions)
-    assert env._step_count == stepped._step_count
+    expected, count = step_replay(_ONE_PER_CLASS.labels, classes, actions, episode_cap)
+    assert dones.tolist() == expected
+    assert env._step_count == count

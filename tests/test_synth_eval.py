@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idslab import dataset as ds
-from idslab import nn
+from idslab import gan, nn
 from idslab import synth_eval as se
 
-from conftest import make_surrogate_records, reference_logreg
+from conftest import make_surrogate_records, reference_logreg, write_surrogate_files
 
 
 def ks_oracle(a, b):
@@ -160,6 +160,33 @@ class TestKsTest:
         with pytest.raises(se.UndefinedMetricError):
             se.ks_test({"service": np.array(["a"], dtype=object)},
                        {"service": np.array(["a"], dtype=object)})
+
+
+class TestRecordsToTable:
+    """The two call shapes of the benchmark worker's KSTest score."""
+
+    def check_table(self, table, records, symbols):
+        assert list(table) == [spec.name for spec in ds.FEATURE_SCHEMA] + ["class"]
+        assert table["class"].dtype == object and table["class"].tolist() == symbols
+        assert table["service"].tolist() == [r.values[2] for r in records]
+        assert table["src_bytes"].dtype == np.float64
+        assert table["src_bytes"].tolist() == [r.values[4] for r in records]
+
+    def test_parsed_file_with_labels_for(self, tmp_path):
+        path = write_surrogate_files(tmp_path, n_train=120, n_test=1)["KDDTrain+.txt"]
+        table = se.records_to_table(ds.parse_kdd_file(path), ds.labels_for(ds.parse_kdd_file(path)))
+        records = ds.parse_kdd_file(path)
+        symbols = [ds.CLASS_SYMBOLS[ds.map_attack_to_class(r.attack_name)] for r in records]
+        self.check_table(table, records, symbols)
+
+    def test_sampled_rows_as_lists(self):
+        records, labels = make_surrogate_records(200, seed=3)
+        t = ds.fit_transformer(records)
+        data = ds.EncodedDataset(t.encode_matrix(records), labels)
+        cfg = gan.GanConfig(epochs=0, batch_size=50, noise_dim=8, hidden=(16,), seed=0)
+        rows = gan.sample_unconditional(gan.train_gan(data, t, cfg)[0], 60, seed=1)
+        table = se.records_to_table([r for r, _ in rows], [label for _, label in rows])
+        self.check_table(table, [r for r, _ in rows], [ds.CLASS_SYMBOLS[l] for _, l in rows])
 
 
 class TestKsTestExtended:
