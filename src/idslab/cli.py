@@ -302,7 +302,7 @@ def stage_gan_eval(config):
     if cap and len(train_records) > cap:
         rng = np.random.default_rng(config["seed"])
         idx = rng.choice(len(train_records), size=cap, replace=False)
-        train_records = [train_records[i] for i in idx]
+        train_records = train_records[idx]
         train_labels = train_labels[idx]
     lines = ["dataset,cstest,kstest,kstest_extended,detection"]
     for source in ("wgan", "wgan-conditional"):

@@ -1,9 +1,10 @@
 """NSL-KDD parsing, attack-class mapping, and reversible record encoding.
 
 Records carry 41 features (the standard 42 minus num_outbound_cmds, which
-is constant zero in the published files).  Categorical features become
-one-hot groups, continuous features are min-max scaled to [0, 1] with an
-optional log1p transform for the heavy-tailed byte/duration counters.
+is constant zero in the published files) and travel as columns (`Records`).
+Categorical features become one-hot groups, continuous features are min-max
+scaled to [0, 1] with an optional log1p transform for the heavy-tailed
+byte/duration counters; the codec works one feature column at a time.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
+from itertools import islice, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -21,6 +23,8 @@ import numpy as np
 __all__ = [
     "FeatureSpec",
     "RawRecord",
+    "Records",
+    "as_records",
     "Transformer",
     "EncodedDataset",
     "ParseError",
@@ -53,7 +57,7 @@ class ParseError(ValueError):
     """Malformed NSL-KDD input line."""
 
 
-class UnknownAttackError(KeyError):
+class UnknownAttackError(ParseError):
     """Attack name absent from the shipped mapping file."""
 
 
@@ -132,7 +136,7 @@ _F20_RAW_INDEX = 19
 
 @dataclass(frozen=True)
 class RawRecord:
-    """One flow record: 40 feature values after F20 removal, plus label info."""
+    """Row view of one record: 40 feature values and its label (see `Records.from_rows`)."""
 
     values: tuple  # str for categorical slots, float for continuous slots
     attack_name: str
@@ -143,54 +147,121 @@ class RawRecord:
             raise ValueError(f"expected {N_FEATURES} feature values, got {len(self.values)}")
 
 
-def _coerce_fields(fields, line_no):
-    values = []
-    for spec, raw in zip(FEATURE_SCHEMA, fields):
-        if spec.kind == CATEGORICAL:
-            values.append(raw)
-        else:
-            try:
-                values.append(float(raw))
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}: non-numeric value {raw!r} in field {spec.name}"
-                ) from None
-    return tuple(values)
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Records as columns: one array per FEATURE_SCHEMA feature (object if categorical,
+    else float64), attack names, difficulties.  [int] is a RawRecord view, [slice] Records."""
+
+    columns: tuple
+    attack_names: np.ndarray  # object
+    difficulty: np.ndarray  # int64
+
+    def __len__(self):
+        return len(self.attack_names)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return next(iter(self[[index]]))
+        columns = tuple(col[index] for col in self.columns)
+        return Records(columns, self.attack_names[index], self.difficulty[index])
+
+    def __iter__(self):
+        values = zip(*(col.tolist() for col in self.columns))
+        return map(RawRecord, values, self.attack_names.tolist(), self.difficulty.tolist())
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Transpose RawRecord rows into columns."""
+        rows = list(rows)
+        values = list(zip(*(r.values for r in rows))) or [()] * N_FEATURES
+        columns = tuple(np.array(v, dtype=object if spec.kind == CATEGORICAL else np.float64)
+                        for spec, v in zip(FEATURE_SCHEMA, values))
+        return cls(columns, np.array([r.attack_name for r in rows], dtype=object),
+                   np.array([r.difficulty for r in rows], dtype=np.int64))
+
+    @classmethod
+    def concat(cls, parts):
+        parts = [as_records(p) for p in parts] or [cls.from_rows([])]
+        columns = tuple(map(np.concatenate, zip(*(p.columns for p in parts))))
+        return cls(columns, np.concatenate([p.attack_names for p in parts]),
+                   np.concatenate([p.difficulty for p in parts]))
+
+
+def as_records(records):
+    """`records` if it is a Records, else the Records of its RawRecord rows."""
+    return records if isinstance(records, Records) else Records.from_rows(records)
+
+
+_CHUNK_LINES = 4096  # lines split at a time: bounds the fields held at once
+_MAP_FILE = "idslab/data/attack_map.csv"
+_RAW_INDEX = tuple(i + (i >= _F20_RAW_INDEX) for i in range(N_FEATURES))
 
 
 def parse_kdd(stream):
-    """Parse NSL-KDD text into records, dropping num_outbound_cmds.
+    """Parse NSL-KDD text into Records, dropping num_outbound_cmds.
 
-    `stream` is an iterable of lines (an open text file works).  Lines must
-    have 43 fields (features, label, difficulty) or 42 (no difficulty).
+    `stream` is an iterable of lines (an open text file works).  Lines need 43
+    fields (features, label, difficulty) or 42 (no difficulty) and a known
+    label.  Chunks of lines are split and their columns converted by float()
+    and int(); a ParseError names the first bad line (blank ones counted).
     """
-    records = []
-    for line_no, line in enumerate(stream, start=1):
+    lines, parts = iter(stream), []
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        parts.append(_parse_chunk(chunk, len(parts) * _CHUNK_LINES + 1))
+    return Records.concat(parts)
+
+
+def _parse_chunk(chunk, first_line):
+    lines, line_nos = [], []
+    for line_no, line in enumerate(chunk, start=first_line):
         line = line.strip()
-        if not line:
+        commas = line.count(",")
+        if commas == 41:
+            line += ",0"  # no difficulty column
+        elif commas != 42:
+            if line:  # blank lines are skipped; a problem on an earlier line comes first
+                _parse_chunk(chunk[: line_no - first_line], first_line)
+                raise ParseError(f"line {line_no}: expected 42 or 43 fields, got {commas + 1}")
             continue
+        lines.append(line)
+        line_nos.append(line_no)
+    fields = ",".join(lines).split(",") if lines else []
+    *features, names, difficulty = (fields[j::43] for j in (*_RAW_INDEX, 41, 42))
+    try:
+        difficulty = np.fromiter(map(int, difficulty), np.int64, len(lines))
+        columns = tuple(np.array(col, dtype=object) if spec.kind == CATEGORICAL
+                        else np.fromiter(map(float, col), np.float64, len(col))
+                        for spec, col in zip(FEATURE_SCHEMA, features))
+    except (ValueError, OverflowError):  # OverflowError: a difficulty beyond int64
+        raise _first_bad_value(lines, line_nos) from None
+    if unknown := set(names) - load_attack_map().keys() - _SYMBOL_TO_ID.keys():
+        i = min(map(names.index, unknown))
+        raise UnknownAttackError(f"line {line_nos[i]}: attack name {names[i]!r} is not in {_MAP_FILE}")
+    return Records(columns, np.array(names, dtype=object), difficulty)
+
+
+def _first_bad_value(lines, line_nos):
+    """The ParseError of the first value int()/float() rejects, in line order."""
+    checks = [(42, lambda raw: np.int64(int(raw)), "non-integer difficulty {!r}")] + [
+        (j, float, f"non-numeric value {{!r}} in field {spec.name}")
+        for spec, j in zip(FEATURE_SCHEMA, _RAW_INDEX) if spec.kind == CONTINUOUS
+    ]
+    for line_no, line in zip(line_nos, lines):
         fields = line.split(",")
-        if len(fields) == 43:
-            *feat, attack, difficulty = fields
-        elif len(fields) == 42:
-            *feat, attack = fields
-            difficulty = "0"
-        else:
-            raise ParseError(f"line {line_no}: expected 42 or 43 fields, got {len(fields)}")
-        del feat[_F20_RAW_INDEX]
-        try:
-            diff = int(difficulty)
-        except ValueError:
-            raise ParseError(f"line {line_no}: non-integer difficulty {difficulty!r}") from None
-        records.append(
-            RawRecord(values=_coerce_fields(feat, line_no), attack_name=attack, difficulty=diff)
-        )
-    return records
+        for j, convert, message in checks:
+            try:
+                convert(fields[j])
+            except (ValueError, OverflowError):
+                return ParseError(f"line {line_no}: " + message.format(fields[j]))
 
 
 def parse_kdd_file(path):
+    """parse_kdd on a file; a ParseError also names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_kdd(fh)
+        try:
+            return parse_kdd(fh)
+        except ParseError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 @functools.cache
@@ -212,12 +283,13 @@ def map_attack_to_class(attack_name):
         return mapping[attack_name]
     if attack_name in _SYMBOL_TO_ID:  # synthetic exports carry symbols
         return _SYMBOL_TO_ID[attack_name]
-    raise UnknownAttackError(attack_name)
+    raise UnknownAttackError(f"attack name {attack_name!r} is not in {_MAP_FILE}")
 
 
 def labels_for(records):
-    """Class ids of the records, as an int64 array."""
-    return np.array([map_attack_to_class(r.attack_name) for r in records], dtype=np.int64)
+    """Class ids of the records (a Records or RawRecord rows), as an int64 array."""
+    names = as_records(records).attack_names.tolist()
+    return np.fromiter(map(map_attack_to_class, names), np.int64, len(names))
 
 
 def task_labels(labels, mode):
@@ -235,9 +307,9 @@ def task_labels(labels, mode):
 class Transformer:
     """Fitted, reversible record <-> vector codec.
 
-    Immutable after fit; encode/decode are pure.  Continuous features are
-    min-max scaled (after optional log1p) and clipped to the fitted range;
-    categorical features become one-hot groups in file order.
+    Immutable after fit; encode_matrix/decode_matrix are pure and work a column
+    at a time.  Continuous features are min-max scaled (after optional log1p)
+    and clipped to the fitted range; categorical ones become one-hot groups.
     """
 
     specs: tuple  # FeatureSpec with frozen categories
@@ -249,61 +321,53 @@ class Transformer:
     def __post_init__(self):
         self.mins = np.asarray(self.mins, dtype=np.float64)
         self.maxs = np.asarray(self.maxs, dtype=np.float64)
-        layout = []
-        offset = 0
-        cont_i = 0
+        self._layout, offset, cont_i = [], 0, 0  # (spec, offset, width, index into mins)
         for spec in self.specs:
-            if spec.kind == CONTINUOUS:
-                layout.append((spec, offset, 1, cont_i))
-                offset += 1
-                cont_i += 1
-            else:
-                width = len(spec.categories)
-                layout.append((spec, offset, width, None))
-                offset += width
-        self._layout = layout
+            continuous = spec.kind == CONTINUOUS
+            width = 1 if continuous else len(spec.categories)
+            self._layout.append((spec, offset, width, cont_i if continuous else None))
+            offset += width
+            cont_i += continuous
         self.total_dim = offset
 
-    def encode(self, record):
-        vec = np.zeros(self.total_dim, dtype=np.float64)
-        for (spec, off, width, ci), value in zip(self._layout, record.values):
-            if spec.kind == CONTINUOUS:
-                x = float(value)
-                if spec.log_scaled:
-                    x = math.log1p(x)
+    def encode_matrix(self, records):
+        """n x total_dim float64 encoding of a Records (or RawRecord rows)."""
+        columns = as_records(records).columns
+        out = np.zeros((len(columns[0]), self.total_dim))
+        for (spec, off, width, ci), col in zip(self._layout, columns):
+            if spec.kind == CATEGORICAL:
+                vocab = dict(zip(spec.categories, range(width)))
+                slot = np.fromiter(map(vocab.get, col.tolist(), repeat(-1)), np.intp, len(col))
+                rows = np.flatnonzero(slot >= 0)  # an unseen category leaves its group 0
+                out[rows, off + slot[rows]] = 1.0
+            elif self.maxs[ci] > self.mins[ci]:  # a constant column stays 0
                 lo, hi = self.mins[ci], self.maxs[ci]
-                if hi > lo:
-                    vec[off] = min(max((x - lo) / (hi - lo), 0.0), 1.0)
-                # constant column stays 0
-            else:
-                try:
-                    vec[off + spec.categories.index(value)] = 1.0
-                except ValueError:
-                    pass  # unseen category: all-zero group
-        return vec
+                x = _math_map(math.log1p, col) if spec.log_scaled else col
+                out[:, off] = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+        return out
 
-    def decode(self, vector):
-        if len(vector) != self.total_dim:
-            raise ValueError(f"expected length {self.total_dim}, got {len(vector)}")
-        values = []
+    def decode_matrix(self, matrix):
+        """Records of an n x total_dim matrix: continuous slots scale back (expm1
+        if log-scaled, integer features rounded half to even), groups argmax."""
+        if np.shape(matrix)[1:] != (self.total_dim,):
+            raise ValueError(f"expected n x {self.total_dim} matrix, got shape {np.shape(matrix)}")
+        columns = []
         for spec, off, width, ci in self._layout:
             if spec.kind == CONTINUOUS:
                 lo, hi = self.mins[ci], self.maxs[ci]
-                x = lo + float(vector[off]) * (hi - lo)
+                x = lo + matrix[:, off] * (hi - lo)
                 if spec.log_scaled:
-                    x = math.expm1(x)
+                    x = _math_map(math.expm1, x)
                 if spec.integer:
-                    x = float(round(x))
-                values.append(x)
+                    x = np.rint(x) + 0.0  # as float(round(x)): half to even, no -0.0
             else:
-                group = np.asarray(vector[off : off + width])
-                if not np.any(group > 0):
+                group = matrix[:, off : off + width]
+                if not (group > 0).any(axis=1).all():
                     raise DecodeError(f"all-zero one-hot group for feature {spec.name}")
-                values.append(spec.categories[int(np.argmax(group))])
-        return RawRecord(values=tuple(values), attack_name="", difficulty=0)
-
-    def encode_matrix(self, records):
-        return np.stack([self.encode(r) for r in records]) if records else np.zeros((0, self.total_dim))
+                x = np.array(spec.categories, dtype=object)[group.argmax(axis=1)]
+            columns.append(x)
+        n = len(matrix)
+        return Records(tuple(columns), np.full(n, "", dtype=object), np.zeros(n, dtype=np.int64))
 
     def group_slices(self):
         """(name, slice) per one-hot group, for GAN output heads."""
@@ -319,62 +383,36 @@ class Transformer:
         )
 
     def to_json(self):
-        return json.dumps(
-            {
-                "version": 1,
-                "features": [
-                    {
-                        "name": s.name,
-                        "kind": s.kind,
-                        "integer": s.integer,
-                        "log_scaled": s.log_scaled,
-                        "categories": list(s.categories),
-                    }
-                    for s in self.specs
-                ],
-                "mins": self.mins.tolist(),
-                "maxs": self.maxs.tolist(),
-            }
-        )
+        features = [asdict(spec) for spec in self.specs]
+        return json.dumps({"version": 1, "features": features,
+                           "mins": self.mins.tolist(), "maxs": self.maxs.tolist()})
 
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
         if obj.get("version") != 1:
             raise ValueError(f"unsupported transformer version: {obj.get('version')}")
-        specs = tuple(
-            FeatureSpec(
-                name=f["name"],
-                kind=f["kind"],
-                integer=f["integer"],
-                log_scaled=f["log_scaled"],
-                categories=tuple(f["categories"]),
-            )
-            for f in obj["features"]
-        )
+        specs = tuple(FeatureSpec(**f | {"categories": tuple(f["categories"])})
+                      for f in obj["features"])
         return cls(specs=specs, mins=np.array(obj["mins"]), maxs=np.array(obj["maxs"]))
+
+
+def _math_map(fn, col):
+    """fn on each value: math.log1p/expm1 differ from numpy's in the last bit."""
+    return np.fromiter(map(fn, col.tolist()), np.float64, len(col))
 
 
 def fit_transformer(records):
     """Fit category vocabularies and continuous ranges from training records."""
-    if not records:
+    records = as_records(records)
+    if not len(records):
         raise ValueError("cannot fit transformer on empty record list")
-    specs = []
-    mins, maxs = [], []
-    for col, spec in enumerate(FEATURE_SCHEMA):
-        column = [r.values[col] for r in records]
+    specs, mins, maxs = [], [], []
+    for spec, col in zip(FEATURE_SCHEMA, records.columns):
         if spec.kind == CATEGORICAL:
-            cats = tuple(sorted(set(column)))
-            specs.append(
-                FeatureSpec(
-                    name=spec.name, kind=CATEGORICAL, integer=False,
-                    log_scaled=False, categories=cats,
-                )
-            )
+            specs.append(replace(spec, categories=tuple(sorted(set(col.tolist())))))
         else:
-            vals = np.asarray(column, dtype=np.float64)
-            if spec.log_scaled:
-                vals = np.log1p(vals)
+            vals = np.log1p(col) if spec.log_scaled else col
             mins.append(float(vals.min()))
             maxs.append(float(vals.max()))
             specs.append(spec)

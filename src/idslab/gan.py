@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import CLASS_NAMES, CLASS_SYMBOLS, N_CLASSES, Transformer, _F20_RAW_INDEX
+from .dataset import CLASS_NAMES, CLASS_SYMBOLS, N_CLASSES, Records, Transformer, _F20_RAW_INDEX
 
 __all__ = [
     "GanConfig",
@@ -252,8 +252,7 @@ def _generate_hard(model, condition_ids, rng):
 
 
 def _decode_rows(model, vectors):
-    feat = vectors[:, : model.transformer.total_dim]
-    return [model.transformer.decode(row) for row in feat]
+    return model.transformer.decode_matrix(vectors[:, : model.transformer.total_dim])
 
 
 def _generated_label_ids(model, vectors):
@@ -274,15 +273,14 @@ def sample_unconditional(model, n, seed=0):
     for start in range(0, n, 2000):
         chunk = conditions[start : start + 2000]
         vectors = _generate_hard(model, chunk, rng)
-        records = _decode_rows(model, vectors)
-        out.extend(zip(records, chunk.tolist()))
+        out.extend(zip(_decode_rows(model, vectors), chunk.tolist()))
     return out
 
 
 def sample_conditional(model, target_class, n, seed=0, attempt_factor=50):
-    """n rows for one class via rejection on the generated label group."""
+    """n rows (as Records) for one class via rejection on the generated label group."""
     rng = np.random.default_rng(seed)
-    kept = []
+    kept = np.zeros((0, model.record_dim))
     attempts = 0
     cap = attempt_factor * max(n, 1)
     while len(kept) < n:
@@ -294,33 +292,33 @@ def sample_conditional(model, target_class, n, seed=0, attempt_factor=50):
         vectors = _generate_hard(model, ids, rng)
         attempts += batch
         accept = _generated_label_ids(model, vectors) == target_class
-        kept.extend(_decode_rows(model, vectors[accept][: n - len(kept)]))
+        kept = np.concatenate([kept, vectors[accept][:want]])
         if len(kept) < n and attempts >= cap:
             raise SamplingStarvationError(
                 f"conditional sampling starved for class {CLASS_NAMES[target_class]}: "
                 f"{len(kept)}/{n} rows after {attempts} attempts"
             )
-    return kept
+    return _decode_rows(model, kept)
 
 
-def _format_value(value):
-    if isinstance(value, float):
-        if value.is_integer():
-            return str(int(value))
-        return f"{value:.6g}"
-    return str(value)
+_EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
 
 
 def export_synthetic(rows, path):
-    """Write (RawRecord, class id) rows as NSL-KDD-format CSV.
+    """Write (RawRecord, class id) rows as NSL-KDD-format CSV, formatting a
+    block of rows a column at a time.
 
     The constant num_outbound_cmds column is re-inserted as 0 so the file
     has the standard 41 feature columns; the label slot holds the class
     symbol (re-parse maps symbols directly).
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for record, label in rows:
-            fields = [_format_value(v) for v in record.values]
-            fields.insert(_F20_RAW_INDEX, "0")
-            fields.append(CLASS_SYMBOLS[label])
-            fh.write(",".join(fields) + "\n")
+        for start in range(0, len(rows), _EXPORT_ROWS):
+            block = rows[start : start + _EXPORT_ROWS]
+            # categories as they are, integral floats as str(int(v)), others as f"{v:.6g}"
+            columns = [col.tolist() if col.dtype == object else
+                       [str(int(v)) if v.is_integer() else f"{v:.6g}" for v in col.tolist()]
+                       for col in Records.from_rows(r for r, _ in block).columns]
+            columns.insert(_F20_RAW_INDEX, ["0"] * len(block))
+            columns.append([CLASS_SYMBOLS[label] for _, label in block])
+            fh.write("".join(f"{line}\n" for line in map(",".join, zip(*columns))))

@@ -57,14 +57,8 @@ class FidelityReport:
 
 
 def records_to_table(records, labels):
-    """Column view of raw records plus the class-symbol column of the class ids."""
-    table = {}
-    for col, spec in enumerate(ds.FEATURE_SCHEMA):
-        values = [r.values[col] for r in records]
-        if spec.kind == ds.CATEGORICAL:
-            table[spec.name] = np.array(values, dtype=object)
-        else:
-            table[spec.name] = np.array(values, dtype=np.float64)
+    """Feature columns of a Records (or RawRecord rows) plus the class-symbol column."""
+    table = {spec.name: col for spec, col in zip(ds.FEATURE_SCHEMA, ds.as_records(records).columns)}
     table["class"] = np.array(ds.CLASS_SYMBOLS, dtype=object)[np.asarray(labels, dtype=np.int64)]
     return table
 
@@ -266,7 +260,7 @@ def detection_score(real_records, synth_records, folds=5, seed=0,
                     l2=1e-4, epochs=300, lr=1e-2):
     """1 - mean ROC AUC of a k-fold logistic real/synth discriminator.
 
-    Both record lists are encoded with one transformer fit on their
+    Both record sets are encoded with one transformer fit on their
     concatenation, so the discriminator sees a common feature space.  The
     folds, each standardized by its training rows, train together.
     """
@@ -277,8 +271,8 @@ def detection_score(real_records, synth_records, folds=5, seed=0,
             f"{len(real_records)} real and {len(synth_records)} synthetic rows cannot "
             f"fill {folds} folds: each side needs at least {folds}"
         )
-    transformer = ds.fit_transformer(list(real_records) + list(synth_records))
-    X = transformer.encode_matrix(list(real_records) + list(synth_records))
+    records = ds.Records.concat([real_records, synth_records])
+    X = ds.fit_transformer(records).encode_matrix(records)
     flags = np.concatenate(
         [np.zeros(len(real_records), dtype=np.int64), np.ones(len(synth_records), dtype=np.int64)]
     )

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -93,6 +94,106 @@ def reference_logreg(X, y, k, l2=1e-4, epochs=300, lr=1e-2, seed=0):
         grads = [(X.T @ dlogits + l2 * net.weights[0], dlogits.sum(axis=0))]
         nn.opt_step(net, grads, opt)
     return net
+
+
+# --- the per-row record path the column codec replaced, kept as oracles ------
+
+def reference_parse(stream):
+    """The per-row `parse_kdd`: one RawRecord per non-blank line."""
+    records = []
+    for line_no, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) == 43:
+            *feat, attack, difficulty = fields
+        elif len(fields) == 42:
+            *feat, attack = fields
+            difficulty = "0"
+        else:
+            raise ds.ParseError(f"line {line_no}: expected 42 or 43 fields, got {len(fields)}")
+        del feat[ds._F20_RAW_INDEX]
+        try:
+            diff = int(difficulty)
+        except ValueError:
+            raise ds.ParseError(f"line {line_no}: non-integer difficulty {difficulty!r}") from None
+        values = []
+        for spec, raw in zip(ds.FEATURE_SCHEMA, feat):
+            if spec.kind == ds.CATEGORICAL:
+                values.append(raw)
+            else:
+                try:
+                    values.append(float(raw))
+                except ValueError:
+                    raise ds.ParseError(
+                        f"line {line_no}: non-numeric value {raw!r} in field {spec.name}"
+                    ) from None
+        records.append(ds.RawRecord(values=tuple(values), attack_name=attack, difficulty=diff))
+    return records
+
+
+def reference_encode(t, record):
+    """The per-row `Transformer.encode` of one record."""
+    vec = np.zeros(t.total_dim, dtype=np.float64)
+    for (spec, off, width, ci), value in zip(t._layout, record.values):
+        if spec.kind == ds.CONTINUOUS:
+            x = float(value)
+            if spec.log_scaled:
+                x = math.log1p(x)
+            lo, hi = t.mins[ci], t.maxs[ci]
+            if hi > lo:
+                vec[off] = min(max((x - lo) / (hi - lo), 0.0), 1.0)
+        else:
+            try:
+                vec[off + spec.categories.index(value)] = 1.0
+            except ValueError:
+                pass
+    return vec
+
+
+def reference_encode_matrix(t, records):
+    return np.stack([reference_encode(t, r) for r in records])
+
+
+def reference_decode(t, vector):
+    """The per-row `Transformer.decode` of one vector: its feature values."""
+    values = []
+    for spec, off, width, ci in t._layout:
+        if spec.kind == ds.CONTINUOUS:
+            lo, hi = t.mins[ci], t.maxs[ci]
+            x = lo + float(vector[off]) * (hi - lo)
+            if spec.log_scaled:
+                x = math.expm1(x)
+            if spec.integer:
+                x = float(round(x))
+            values.append(x)
+        else:
+            group = np.asarray(vector[off : off + width])
+            if not np.any(group > 0):
+                raise ds.DecodeError(f"all-zero one-hot group for feature {spec.name}")
+            values.append(spec.categories[int(np.argmax(group))])
+    return tuple(values)
+
+
+def reference_format_value(value):
+    """The per-value export text of `export_synthetic`."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return str(int(value))
+        return f"{value:.6g}"
+    return str(value)
+
+
+def reference_export_text(rows):
+    """The text the per-row `export_synthetic` wrote for (record, class id) rows."""
+    lines = []
+    for record, label in rows:
+        fields = [reference_format_value(v) for v in record.values]
+        fields.insert(ds._F20_RAW_INDEX, "0")
+        fields.append(ds.CLASS_SYMBOLS[label])
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines)
 
 
 def write_surrogate_files(dirpath, n_train=2000, n_test=600, seed=0):

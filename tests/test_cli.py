@@ -104,6 +104,21 @@ class TestDependencies:
         monkeypatch.setenv("IDSLAB_DATA_DIR", str(workdir / "nowhere"))
         assert run(["preprocess"]) == cli.EXIT_DEPENDENCY
 
+    def test_unknown_attack_name_names_file_and_line(self, workdir, surrogate_data, capsys):
+        _, paths = surrogate_data
+        lines = paths["KDDTrain+.txt"].read_text().splitlines()[:50]
+        for i in (9, 30):
+            fields = lines[i].split(",")
+            fields[41] = "mystery_attack"
+            lines[i] = ",".join(fields)
+        bad = workdir / "train.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["preprocess", "--set", f"train_path={bad}"]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 10: attack name 'mystery_attack' is not in "
+            "idslab/data/attack_map.csv\n"
+        )
+
 
 class TestStages:
     def test_preprocess_artifacts(self, workdir):

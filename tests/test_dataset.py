@@ -1,10 +1,22 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from idslab import dataset as ds
 
-from conftest import make_surrogate_records, requires_real_data
+from conftest import (
+    make_surrogate_line,
+    make_surrogate_records,
+    reference_decode,
+    reference_encode_matrix,
+    reference_parse,
+    requires_real_data,
+    write_surrogate_files,
+)
 
 
 GOOD_LINE = (
@@ -31,8 +43,8 @@ class TestParse:
         assert rec.attack_name == "normal"
 
     def test_empty_stream(self):
-        assert ds.parse_kdd([]) == []
-        assert ds.parse_kdd(["", "  "]) == []
+        assert len(ds.parse_kdd([])) == 0
+        assert len(ds.parse_kdd(["", "  "])) == 0
 
     def test_wrong_field_count(self):
         with pytest.raises(ds.ParseError, match="line 1"):
@@ -49,6 +61,193 @@ class TestParse:
         fields[19] = "999"
         rec = ds.parse_kdd([",".join(fields)])[0]
         assert 999.0 not in rec.values
+
+
+def bad_field(line, raw_index, value):
+    fields = line.split(",")
+    fields[raw_index] = value
+    return ",".join(fields)
+
+
+class TestParseStrictness:
+    @pytest.mark.parametrize("token", ["1_000", "nan", "inf", "+1e3", "0x10", " 7 ", "1e999", "1,5"])
+    def test_numeric_values_follow_float(self, token):
+        line = bad_field(GOOD_LINE, 4, token)  # src_bytes
+        try:
+            want = float(token)
+        except ValueError:
+            with pytest.raises(ds.ParseError, match=r"line 1: .*(src_bytes|fields)"):
+                ds.parse_kdd([line])
+        else:
+            got = ds.parse_kdd([line]).columns[4][0]
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_bad_value_deep_in_file_names_file_line_and_field(self, tmp_path):
+        lines = [GOOD_LINE] * 15_000
+        lines[10] = ""  # blank lines count
+        lines[14_999] = bad_field(GOOD_LINE, 22, "12x")  # raw field 22 is "count"
+        path = tmp_path / "deep.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ds.ParseError) as err:
+            ds.parse_kdd_file(path)
+        assert str(err.value) == f"{path}: line 15000: non-numeric value '12x' in field count"
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [GOOD_LINE, bad_field(GOOD_LINE, 4, "x"), "1,2,3"],
+            [GOOD_LINE, "1,2,3", bad_field(GOOD_LINE, 4, "x")],
+            [bad_field(bad_field(GOOD_LINE, 42, "d"), 0, "x")],
+            [bad_field(bad_field(GOOD_LINE, 30, "y"), 4, "x")],
+            ["", "  ", GOOD_LINE, GOOD_LINE + ",extra,fields"],
+        ],
+    )
+    def test_first_problem_matches_reference(self, lines):
+        with pytest.raises(ds.ParseError) as want:
+            reference_parse(lines)
+        with pytest.raises(ds.ParseError) as got:
+            ds.parse_kdd(lines)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("chunk_lines", [7, 4096])
+    def test_mixed_field_counts_match_reference(self, monkeypatch, chunk_lines):
+        monkeypatch.setattr(ds, "_CHUNK_LINES", chunk_lines)  # 7: blank lines end chunks
+        rng = np.random.default_rng(1)
+        lines = [make_surrogate_line(rng, int(c), with_difficulty=bool(i % 3))
+                 for i, c in enumerate(rng.choice(5, size=300))]
+        lines[5:5] = ["", "   "]
+        lines[13] = ""
+        assert_matches_rows(ds.parse_kdd(lines), reference_parse(lines))
+        bad = lines[:40] + [bad_field(lines[40], 4, "x")]
+        with pytest.raises(ds.ParseError, match="line 41: non-numeric value 'x' in field src_bytes"):
+            ds.parse_kdd(bad)
+
+    def test_unknown_attack_names_first_line(self):
+        lines = [GOOD_LINE, bad_field(GOOD_LINE, 41, "mystery"), bad_field(GOOD_LINE, 41, "enigma"),
+                 bad_field(GOOD_LINE, 41, "mystery")]
+        with pytest.raises(ds.UnknownAttackError, match=r"line 2: attack name 'mystery' is not in "
+                                                        r"idslab/data/attack_map.csv"):
+            ds.parse_kdd(lines)
+
+
+def assert_matches_rows(records, rows):
+    """Columns equal, bit for bit, to the oracle's RawRecord rows."""
+    assert len(records) == len(rows)
+    for i, (spec, col) in enumerate(zip(ds.FEATURE_SCHEMA, records.columns)):
+        want = [r.values[i] for r in rows]
+        if spec.kind == ds.CATEGORICAL:
+            assert col.tolist() == want
+        else:
+            assert col.tobytes() == np.array(want, dtype=np.float64).tobytes(), spec.name
+    assert records.attack_names.tolist() == [r.attack_name for r in rows]
+    assert records.difficulty.tolist() == [r.difficulty for r in rows]
+
+
+class TestColumnCodecMatchesReference:
+    """The column codec against the per-row code it replaced (conftest)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, surrogate_data):
+        _, paths = surrogate_data
+        return [path.read_text().splitlines() for path in paths.values()]
+
+    def test_parse(self, corpus):
+        for lines in corpus:
+            assert_matches_rows(ds.parse_kdd(lines), reference_parse(lines))
+
+    def test_encode(self, corpus):
+        # each file's transformer meets the other file's values outside its ranges
+        for fit_lines in corpus:
+            t = ds.fit_transformer(ds.parse_kdd(fit_lines))
+            for lines in corpus:
+                want = reference_encode_matrix(t, reference_parse(lines))
+                assert t.encode_matrix(ds.parse_kdd(lines)).tobytes() == want.tobytes()
+
+    def test_decode(self, corpus):
+        t = ds.fit_transformer(ds.parse_kdd(corpus[0]))
+        M = np.random.default_rng(3).random((1000, t.total_dim))
+        M[:5] = np.round(M[:5])  # exact 0/1 slots; each group keeps a positive entry
+        for _, sl in t.group_slices():
+            M[:5, sl.start] = 1.0
+        want = [ds.RawRecord(reference_decode(t, row), "") for row in M]
+        assert_matches_rows(t.decode_matrix(M), want)
+
+
+def _value_strategy_with_edges(spec):
+    if spec.kind == ds.CATEGORICAL:
+        return st.sampled_from(["a", "b", "c_"])  # probes may hold unseen categories
+    return st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 2.5, 1e12]), st.floats(-0.5, 1e9))
+
+
+_EDGE_ROW = st.tuples(*(_value_strategy_with_edges(spec) for spec in ds.FEATURE_SCHEMA)).map(
+    lambda values: ds.RawRecord(values=values, attack_name="normal")
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # 1e12 over a tiny range
+@settings(max_examples=100, deadline=None)
+@given(fit=st.lists(_EDGE_ROW, min_size=1, max_size=4),
+       probe=st.lists(_EDGE_ROW, min_size=1, max_size=8))
+def test_encode_matches_reference_property(fit, probe):
+    # a small fit leaves constant columns (hi == lo) and probes outside the range
+    t = ds.fit_transformer(fit)
+    assert t.encode_matrix(probe).tobytes() == reference_encode_matrix(t, probe).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decode_matches_reference_property(data):
+    t = ds.fit_transformer(make_surrogate_records(20, seed=0)[0])
+    n_cont = len(t.mins)
+    lo = data.draw(hnp.arrays(np.float64, n_cont, elements=st.sampled_from([0.0, -0.0, -4.0, 2.0])))
+    span = data.draw(hnp.arrays(np.float64, n_cont, elements=st.sampled_from([0.0, 1.0, 8.0, 20.0])))
+    t = ds.Transformer(specs=t.specs, mins=lo, maxs=lo + span)
+    # k/16 on an 8-wide range lands on .5 ties; -0.0 on a -0.0 minimum stays -0.0
+    slot = st.one_of(st.sampled_from([k / 16 for k in range(-4, 21)] + [-0.0]), st.floats(-0.25, 1.25))
+    n = data.draw(st.integers(1, 6))
+    M = data.draw(hnp.arrays(np.float64, (n, t.total_dim), elements=slot))
+    for _, sl in t.group_slices():
+        M[:, sl.start] = np.abs(M[:, sl.start]) + 0.5
+    want = [ds.RawRecord(reference_decode(t, row), "") for row in M]
+    assert_matches_rows(t.decode_matrix(M), want)
+
+
+def test_column_path_peak_memory_below_row_path(tmp_path):
+    path = write_surrogate_files(tmp_path, n_train=20_000, n_test=1)["KDDTrain+.txt"]
+    t = ds.fit_transformer(ds.parse_kdd_file(path))
+
+    def columns():
+        t.encode_matrix(ds.parse_kdd_file(path))
+
+    def rows():
+        with open(path, encoding="utf-8") as fh:
+            reference_encode_matrix(t, reference_parse(fh))
+
+    peaks = []
+    for run in (columns, rows):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # half: splitting the whole file at once or building RawRecord rows each
+    # costs more (40 and 45 MB, against 21 MB here and 54 MB for the row path)
+    assert peaks[0] < 0.5 * peaks[1], peaks
+
+
+def test_documented_dtypes(fitted):
+    records, labels, t = fitted
+    for parsed in (records, ds.parse_kdd([])):
+        for spec, col in zip(ds.FEATURE_SCHEMA, parsed.columns):
+            assert col.dtype == (object if spec.kind == ds.CATEGORICAL else np.float64)
+        assert parsed.attack_names.dtype == object
+        assert ds.labels_for(parsed).dtype == np.int64
+        M = t.encode_matrix(parsed)
+        assert M.dtype == np.float64 and M.shape == (len(parsed), t.total_dim)
+        for spec, col in zip(ds.FEATURE_SCHEMA, t.decode_matrix(M).columns):
+            assert col.dtype == (object if spec.kind == ds.CATEGORICAL else np.float64)
+    assert labels.dtype == np.int64
 
 
 class TestAttackMap:
@@ -94,6 +293,14 @@ class TestAttackMap:
             ds.load_attack_map.cache_clear()
 
 
+def encode_one(t, record):
+    return t.encode_matrix([record])[0]
+
+
+def decode_one(t, vector):
+    return t.decode_matrix(vector[None, :])[0]
+
+
 @pytest.fixture(scope="module")
 def fitted():
     records, labels = make_surrogate_records(500, seed=7)
@@ -111,7 +318,7 @@ class TestTransformer:
     def test_roundtrip(self, fitted):
         records, _, t = fitted
         for rec in records[:100]:
-            dec = t.decode(t.encode(rec))
+            dec = decode_one(t, encode_one(t, rec))
             for spec, orig, back in zip(t.specs, rec.values, dec.values):
                 if spec.kind == ds.CATEGORICAL:
                     assert back == orig
@@ -123,8 +330,8 @@ class TestTransformer:
     def test_roundtrip_continuous_tolerance(self, fitted):
         # pre-rounding continuous recovery on non-integer features
         records, _, t = fitted
-        vec = t.encode(records[0])
-        dec = t.decode(vec)
+        vec = encode_one(t, records[0])
+        dec = decode_one(t, vec)
         rates = [i for i, s in enumerate(t.specs) if not s.integer and s.kind == ds.CONTINUOUS]
         for i in rates:
             assert abs(dec.values[i] - records[0].values[i]) < 1e-9
@@ -143,14 +350,14 @@ class TestTransformer:
 
     def test_encoding_pure(self, fitted):
         records, _, t = fitted
-        a = t.encode(records[0])
-        b = t.encode(records[0])
+        a = encode_one(t, records[0])
+        b = encode_one(t, records[0])
         assert np.array_equal(a, b)
 
     def test_seen_category_one_hot(self, fitted):
         records, _, t = fitted
         rec = records[0]
-        vec = t.encode(rec)
+        vec = encode_one(t, rec)
         name_to_slice = dict(t.group_slices())
         group = vec[name_to_slice["protocol_type"]]
         assert group.sum() == 1.0
@@ -161,7 +368,7 @@ class TestTransformer:
         values = list(rec.values)
         values[2] = "service_never_seen"
         weird = ds.RawRecord(values=tuple(values), attack_name="normal")
-        vec = t.encode(weird)
+        vec = encode_one(t, weird)
         name_to_slice = dict(t.group_slices())
         assert vec[name_to_slice["service"]].sum() == 0.0
 
@@ -169,7 +376,7 @@ class TestTransformer:
         records, _, t = fitted
         values = list(records[0].values)
         values[4] = 1e12  # src_bytes far beyond fit max
-        vec = t.encode(ds.RawRecord(values=tuple(values), attack_name="normal"))
+        vec = encode_one(t, ds.RawRecord(values=tuple(values), attack_name="normal"))
         assert vec.max() <= 1.0
 
     def test_max_maps_to_one(self):
@@ -178,10 +385,10 @@ class TestTransformer:
         counts = [r.values[22] for r in records]  # feature "count"
         values = list(records[0].values)
         values[22] = max(counts)
-        vec = t.encode(ds.RawRecord(values=tuple(values), attack_name="normal"))
+        vec = encode_one(t, ds.RawRecord(values=tuple(values), attack_name="normal"))
         # locate the "count" slot by diffing against the min encoding
         values[22] = min(counts)
-        vec_min = t.encode(ds.RawRecord(values=tuple(values), attack_name="normal"))
+        vec_min = encode_one(t, ds.RawRecord(values=tuple(values), attack_name="normal"))
         moved = np.flatnonzero(vec != vec_min)
         assert len(moved) == 1
         assert vec[moved[0]] == 1.0
@@ -189,14 +396,14 @@ class TestTransformer:
     def test_single_record_fit_encodes_zero_continuous(self):
         records, _ = make_surrogate_records(1, seed=5)
         t = ds.fit_transformer(records)
-        vec = t.encode(records[0])
+        vec = encode_one(t, records[0])
         cont = t.continuous_indices()
         assert np.all(vec[cont] == 0.0)
 
     def test_all_zero_group_decode_error(self, fitted):
         _, _, t = fitted
         with pytest.raises(ds.DecodeError, match="protocol_type"):
-            t.decode(np.zeros(t.total_dim))
+            decode_one(t, np.zeros(t.total_dim))
 
     def test_two_ones_argmax_lowest_index(self, fitted):
         _, _, t = fitted
@@ -207,7 +414,7 @@ class TestTransformer:
         sl = name_to_slice["protocol_type"]
         vec[sl.start] = 1.0
         vec[sl.start + 1] = 1.0
-        dec = t.decode(vec)
+        dec = decode_one(t, vec)
         proto_spec = next(s for s in t.specs if s.name == "protocol_type")
         assert dec.values[1] == proto_spec.categories[0]
 
@@ -221,11 +428,11 @@ class TestTransformer:
             vv[22] = v  # "count", integer, not log-scaled
             recs.append(ds.RawRecord(values=tuple(vv), attack_name="normal"))
         t = ds.fit_transformer(recs)
-        vec = t.encode(recs[0])
-        moved = np.flatnonzero(t.encode(recs[1]) != vec)
+        vec = encode_one(t, recs[0])
+        moved = np.flatnonzero(encode_one(t, recs[1]) != vec)
         assert len(moved) == 1
         vec[moved[0]] = 0.5
-        assert t.decode(vec).values[22] == 5.0
+        assert decode_one(t, vec).values[22] == 5.0
 
     def test_json_roundtrip(self, fitted):
         _, _, t = fitted
@@ -233,7 +440,7 @@ class TestTransformer:
         assert t2.total_dim == t.total_dim
         records, _ = make_surrogate_records(20, seed=9)
         for rec in records:
-            assert np.array_equal(t.encode(rec), t2.encode(rec))
+            assert np.array_equal(encode_one(t, rec), encode_one(t2, rec))
 
     def test_empty_fit_raises(self):
         with pytest.raises(ValueError):
@@ -264,7 +471,7 @@ def test_codec_roundtrip_property(records):
     # nearest integer and leaves rates as floats of the min-max inverse
     t = ds.fit_transformer(records)
     for rec in records:
-        back = t.decode(t.encode(rec)).values
+        back = decode_one(t, encode_one(t, rec)).values
         for spec, orig, got in zip(t.specs, rec.values, back):
             if spec.kind == ds.CATEGORICAL or spec.integer:
                 assert got == orig

@@ -4,7 +4,7 @@ import pytest
 from idslab import dataset as ds, gan, nn, synth_eval
 from idslab.dataset import CATEGORICAL, CONTINUOUS, FeatureSpec
 
-from conftest import make_surrogate_records
+from conftest import make_surrogate_records, reference_export_text
 
 
 def surrogate_model(n=300, seed=0, epochs=1, **overrides):
@@ -249,3 +249,17 @@ class TestExport:
         path = tmp_path / "empty.csv"
         gan.export_synthetic([], path)
         assert path.read_text() == ""
+
+    def test_text_matches_reference(self, tmp_path, monkeypatch):
+        model, _, _ = surrogate_model()
+        rows = gan.sample_unconditional(model, 40, seed=2)
+        for record in gan.sample_conditional(model, 3, 5, seed=1):
+            rows.append((record, 3))
+        values = list(rows[0][0].values)
+        for i, v in zip((0, 4, 5, 22, 23, 24), (1e20, -0.0, 0.5, 123456789.0, 1e-7, 2.0**70 + 0.5)):
+            values[i] = v
+        rows.append((ds.RawRecord(values=tuple(values), attack_name=""), 4))
+        monkeypatch.setattr(gan, "_EXPORT_ROWS", 7)  # several blocks, the last one short
+        path = tmp_path / "synth.csv"
+        gan.export_synthetic(rows, path)
+        assert path.read_text() == reference_export_text(rows)

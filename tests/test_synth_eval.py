@@ -268,7 +268,8 @@ class TestDetection:
         # unequal sides; many encoded surrogate columns are constant (sd 0 -> 1)
         real, _ = make_surrogate_records(230, seed=17)
         synth, _ = make_surrogate_records(170, seed=18)
-        X = ds.fit_transformer(real + synth).encode_matrix(real + synth)
+        both = ds.Records.concat([real, synth])
+        X = ds.fit_transformer(both).encode_matrix(both)
         flags = np.repeat([0, 1], [230, 170])
         assert (X.std(axis=0) == 0.0).any()
         fits = []
