@@ -223,7 +223,7 @@ def ppo_loss_and_grads(policy, batch, config):
 
     policy_grads, g_h_policy = nn.backward(policy.policy_head, policy_tape, g_probs)
     value_grads, g_h_value = nn.backward(policy.value_head, value_tape, g_values)
-    trunk_grads, _ = nn.backward(policy.trunk, trunk_tape, g_h_policy + g_h_value)
+    trunk_grads, _ = nn.backward(policy.trunk, trunk_tape, g_h_policy + g_h_value, inputs=False)
 
     stats = {
         "loss": loss,

@@ -229,7 +229,7 @@ def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0)
             # into (p - onehot)/m on the logits
             target = nn.one_hot(y[idx], k)
             dprobs = -target / np.maximum(probs, 1e-12) / idx.size
-            grads, _ = nn.backward(net, tape, dprobs)
+            grads, _ = nn.backward(net, tape, dprobs, inputs=False)
             nn.opt_step(net, grads, opt)
     return Classifier(
         kind="mlp", n_classes=k, _predict_proba=lambda A: nn.forward(net, A)[0], net=net

@@ -57,14 +57,15 @@ def one_hot(ids, k):
 
 
 def _act_forward(name, z):
+    """Activation of the pre-activation `z`; relu, leaky_relu and tanh overwrite z."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "leaky_relu":
-        return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+        return np.maximum(z, 0.0, out=z)
+    if name == "leaky_relu":  # max(z, 0.2 z): np.where's data-dependent branch is slower
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if name == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "linear":
         return z
     if name == "softmax":
@@ -74,15 +75,16 @@ def _act_forward(name, z):
 
 def _act_backward(name, out, grad):
     """Gradient w.r.t. the pre-activation, given the activation output and the
-    grad w.r.t. it (for relu and leaky_relu, out > 0 exactly where z > 0)."""
+    grad w.r.t. it (for relu and leaky_relu, out > 0 exactly where z > 0);
+    overwrites grad except for softmax."""
     if name == "relu":
-        return grad * (out > 0.0)
-    if name == "leaky_relu":
-        return grad * np.where(out > 0.0, 1.0, LEAKY_SLOPE)
+        return np.multiply(grad, out > 0.0, out=grad)
+    if name == "leaky_relu":  # the slope is exactly 1.0 or LEAKY_SLOPE
+        return np.multiply(grad, (out > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE, out=grad)
     if name == "sigmoid":
-        return grad * out * (1.0 - out)
+        return np.multiply(np.multiply(grad, out, out=grad), 1.0 - out, out=grad)
     if name == "tanh":
-        return grad * (1.0 - out * out)
+        return np.multiply(grad, 1.0 - out * out, out=grad)
     if name == "linear":
         return grad
     if name == "softmax":
@@ -151,28 +153,35 @@ def forward(net, batch):
         raise ValueError(f"input dim {x.shape[1]} != net input {net.in_dim}")
     tape = []
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        out = _act_forward(act, x @ w + b)
+        z = x @ w
+        z += b
+        out = _act_forward(act, z)
         tape.append((x, out))
         x = out
     return x, tape
 
 
-def backward(net, tape, output_gradient):
+def backward(net, tape, output_gradient, *, params=True, inputs=True):
     """Backprop an upstream gradient; returns (param_grads, input_grad).
 
     param_grads is a list of (dW, db) per layer.  The input gradient is
     needed when chaining nets (generator through critic, trunk through heads).
+    params=False skips the parameter gradients, inputs=False the input
+    gradient (layer 0's dz @ W.T), each returned as None.  The activation
+    gradients work in place on copies; output_gradient and the tape stay as
+    they are.
     """
-    grad = np.asarray(output_gradient, dtype=np.float64)
+    grad = np.array(output_gradient, dtype=np.float64)  # a copy: overwritten below
     param_grads = [None] * net.n_layers
     for i in range(net.n_layers - 1, -1, -1):
         x, out = tape[i]
         if grad.shape != out.shape:
             raise ValueError(f"gradient shape {grad.shape} != layer output {out.shape}")
         dz = _act_backward(net.activations[i], out, grad)
-        param_grads[i] = (x.T @ dz, dz.sum(axis=0))
-        grad = dz @ net.weights[i].T
-    return param_grads, grad
+        if params:
+            param_grads[i] = (x.T @ dz, dz.sum(axis=0))
+        grad = dz @ net.weights[i].T if i or inputs else None
+    return (param_grads if params else None), grad
 
 
 @dataclass
@@ -201,21 +210,26 @@ def opt_step(net, param_grads, state):
 
 
 def update_params(params, grad, state):
-    """One in-place Adam/RMSProp step on `params`, shaped like grad and state.m/v."""
+    """One in-place Adam/RMSProp step on `params`, shaped like grad and state.m/v;
+    every term is the textbook expression's, written into one scratch allocation."""
     state.t += 1
     m, v = state.m, state.v
+    num, den = np.empty((2, *grad.shape))
     if state.algo == "adam":
         m *= state.beta1
-        m += (1.0 - state.beta1) * grad
+        m += np.multiply(grad, 1.0 - state.beta1, out=num)
         v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        mhat = m / (1.0 - state.beta1**state.t)
-        vhat = v / (1.0 - state.beta2**state.t)
-        params -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        v += np.multiply(np.multiply(grad, 1.0 - state.beta2, out=num), grad, out=num)
+        np.divide(m, 1.0 - state.beta1**state.t, out=num)  # mhat
+        num *= state.lr
+        np.sqrt(np.divide(v, 1.0 - state.beta2**state.t, out=den), out=den)  # sqrt(vhat)
     else:  # rmsprop
         v *= state.decay
-        v += (1.0 - state.decay) * grad * grad
-        params -= state.lr * grad / (np.sqrt(v) + state.eps)
+        v += np.multiply(np.multiply(grad, 1.0 - state.decay, out=num), grad, out=num)
+        np.multiply(grad, state.lr, out=num)
+        np.sqrt(v, out=den)
+    den += state.eps
+    params -= np.divide(num, den, out=num)
 
 
 def clip_global_norm(grad_lists, max_norm):

@@ -96,6 +96,89 @@ def reference_logreg(X, y, k, l2=1e-4, epochs=300, lr=1e-2, seed=0):
     return net
 
 
+# --- the dense kernels before in-place activations, kept as oracles ----------
+
+def reference_act_forward(name, z):
+    """`nn._act_forward` with a fresh array per activation and np.where leaky-ReLU."""
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "leaky_relu":
+        return np.where(z > 0.0, z, nn.LEAKY_SLOPE * z)
+    if name == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "linear":
+        return z
+    if name == "softmax":
+        return nn.softmax(z)
+    raise ValueError(f"unknown activation: {name!r}")
+
+
+def reference_act_backward(name, out, grad):
+    """`nn._act_backward` returning a fresh array, np.where leaky-ReLU slope."""
+    if name == "relu":
+        return grad * (out > 0.0)
+    if name == "leaky_relu":
+        return grad * np.where(out > 0.0, 1.0, nn.LEAKY_SLOPE)
+    if name == "sigmoid":
+        return grad * out * (1.0 - out)
+    if name == "tanh":
+        return grad * (1.0 - out * out)
+    if name == "linear":
+        return grad
+    if name == "softmax":
+        return nn.softmax_backward(out, grad)
+    raise ValueError(f"unknown activation: {name!r}")
+
+
+def reference_forward(net, batch):
+    """`nn.forward` computing each layer as act(x @ w + b) out of place."""
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"input must be a 2-D batch, got {x.ndim}-D")
+    if x.shape[1] != net.in_dim:
+        raise ValueError(f"input dim {x.shape[1]} != net input {net.in_dim}")
+    tape = []
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        out = reference_act_forward(act, x @ w + b)
+        tape.append((x, out))
+        x = out
+    return x, tape
+
+
+def reference_backward(net, tape, output_gradient, *, params=True, inputs=True):
+    """`nn.backward` computing every gradient; the two keywords are ignored."""
+    grad = np.asarray(output_gradient, dtype=np.float64)
+    param_grads = [None] * net.n_layers
+    for i in range(net.n_layers - 1, -1, -1):
+        x, out = tape[i]
+        if grad.shape != out.shape:
+            raise ValueError(f"gradient shape {grad.shape} != layer output {out.shape}")
+        dz = reference_act_backward(net.activations[i], out, grad)
+        param_grads[i] = (x.T @ dz, dz.sum(axis=0))
+        grad = dz @ net.weights[i].T
+    return param_grads, grad
+
+
+def reference_update_params(params, grad, state):
+    """`nn.update_params` as the textbook expressions, a fresh array per term."""
+    state.t += 1
+    m, v = state.m, state.v
+    if state.algo == "adam":
+        m *= state.beta1
+        m += (1.0 - state.beta1) * grad
+        v *= state.beta2
+        v += (1.0 - state.beta2) * grad * grad
+        mhat = m / (1.0 - state.beta1**state.t)
+        vhat = v / (1.0 - state.beta2**state.t)
+        params -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    else:  # rmsprop
+        v *= state.decay
+        v += (1.0 - state.decay) * grad * grad
+        params -= state.lr * grad / (np.sqrt(v) + state.eps)
+
+
 # --- the per-row record path the column codec replaced, kept as oracles ------
 
 def reference_parse(stream):

@@ -1,9 +1,23 @@
+import inspect
 import json
+import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from idslab import nn
+from idslab import agent, baselines, gan, nn
+from idslab import dataset as ds
+
+from conftest import (
+    make_surrogate_records,
+    reference_act_backward,
+    reference_act_forward,
+    reference_backward,
+    reference_forward,
+    reference_update_params,
+)
 
 
 def finite_diff_check(net, batch, loss_fn, n_samples=100, h=1e-6, seed=0):
@@ -279,3 +293,258 @@ class TestCheckpoint:
         )
         with pytest.raises(ValueError, match="version: 1"):
             nn.load_checkpoint(path)
+
+
+# --- the in-place kernels against the out-of-place reference ------------------
+
+# exact zeros of both signs, subnormals and large magnitudes
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 1e100, -1e100, 1e300, -1e300])
+
+
+def special_array(rng, shape, share):
+    """Normal draws with about `share` of the entries, and of the rows, replaced
+    by SPECIALS; a zero row makes the pre-activation exactly the bias."""
+    a = rng.normal(size=shape)
+    hit = rng.random(shape) < share
+    a[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+    a[rng.random(shape[0]) < share] = rng.choice([0.0, -0.0])
+    return a
+
+
+def assert_same(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_grads(a, b):
+    assert len(a) == len(b)
+    for (dw, db), (rdw, rdb) in zip(a, b):
+        assert_same(dw, rdw)
+        assert_same(db, rdb)
+
+
+def special_net(acts, rng, seed):
+    sizes = [int(s) for s in rng.integers(1, 9, size=len(acts) + 1)]
+    net = nn.init_net(sizes, acts, seed=seed)
+    for b in net.biases:
+        b[:] = special_array(rng, b.shape, 0.5)
+    return net
+
+
+def check_matches_reference(k, acts, n, share, seed):
+    """Kernel module `k` gives the reference's bits: activations alone, then
+    forward, its tape and backward on a net with activations `acts`."""
+    rng = np.random.default_rng(seed)
+    net = special_net(acts, rng, seed)
+    with np.errstate(all="ignore"):
+        z, grad = special_array(rng, (n, 7), share), special_array(rng, (n, 7), share)
+        for act in set(acts):
+            out = reference_act_forward(act, z)
+            assert_same(k._act_forward(act, z.copy()), out)
+            ref_dz = reference_act_backward(act, out, grad)
+            assert_same(k._act_backward(act, out, grad.copy()), ref_dz)
+        batch = special_array(rng, (n, net.in_dim), share)
+        upstream = special_array(rng, (n, net.out_dim), share)
+        out, tape = k.forward(net, batch)
+        ref_out, ref_tape = reference_forward(net, batch)
+        assert_same(out, ref_out)
+        for (x, y), (rx, ry) in zip(tape, ref_tape, strict=True):
+            assert_same(x, rx)
+            assert_same(y, ry)
+        grads, grad_in = k.backward(net, tape, upstream)
+        ref_grads, ref_grad_in = reference_backward(net, ref_tape, upstream)
+        assert_same_grads(grads, ref_grads)
+        assert_same(grad_in, ref_grad_in)
+
+
+def check_nan_propagates(k):
+    """A NaN pre-activation stays NaN through relu and leaky_relu."""
+    for act in ("relu", "leaky_relu"):
+        out = k._act_forward(act, np.array([np.nan, -1.0, 0.0, 1.0]))
+        assert np.isnan(out[0]) and not np.isnan(out[1:]).any()
+        net = nn.init_net([2, 3], [act], seed=0)
+        out, _ = k.forward(net, np.array([[np.nan, 1.0]]))
+        assert np.isnan(out).all()
+
+
+def check_partial_backward(k, acts, seed):
+    """params=False and inputs=False give None for what they skip and the
+    full call's bits for the rest."""
+    rng = np.random.default_rng(seed)
+    net = special_net(acts, rng, seed)
+    batch = rng.normal(size=(9, net.in_dim))
+    upstream = rng.normal(size=(9, net.out_dim))
+    with np.errstate(all="ignore"):
+        _, tape = k.forward(net, batch)
+        full_grads, full_in = k.backward(net, tape, upstream)
+        no_params, grad_in = k.backward(net, tape, upstream, params=False)
+        grads, no_inputs = k.backward(net, tape, upstream, inputs=False)
+    assert no_params is None
+    assert_same(grad_in, full_in)
+    assert no_inputs is None
+    assert_same_grads(grads, full_grads)
+
+
+def mutant_nn(monkeypatch, old, new):
+    """A copy of the nn module whose source has `old` replaced by `new`."""
+    source = inspect.getsource(nn)
+    assert old in source
+    module = types.ModuleType("idslab.nn_mutant")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), "<nn mutant>", "exec"), module.__dict__)
+    return module
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        other=st.sampled_from(nn.ACTIVATIONS),
+        n=st.integers(1, 1200),
+        share=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_bit_equal(self, act, other, n, share, seed):
+        check_matches_reference(nn, (act, other, act), n, share, seed)
+
+    def test_nan_preactivation_stays_nan(self):
+        check_nan_propagates(nn)
+
+    @pytest.mark.parametrize("algo", ["adam", "rmsprop"])
+    def test_update_params_bit_equal(self, algo):
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=(3, 40))  # 2-D, as the logreg fold kernel steps it
+        ref = params.copy()
+        state = nn.OptState(algo, 1e-2, m=np.zeros_like(params), v=np.zeros_like(params))
+        ref_state = nn.OptState(algo, 1e-2, m=np.zeros_like(params), v=np.zeros_like(params))
+        with np.errstate(all="ignore"):
+            for _ in range(5):
+                grad = special_array(rng, params.shape, 0.2)
+                kept = grad.copy()
+                nn.update_params(params, grad, state)
+                reference_update_params(ref, grad, ref_state)
+                assert_same(grad, kept)
+                for a, b in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+                    assert_same(a, b)
+        assert state.t == ref_state.t == 5
+
+    @pytest.mark.parametrize(
+        "old, new, check",
+        [
+            # fmax drops the NaN that np.maximum keeps
+            ("np.maximum(z, ", "np.fmax(z, ", "nan"),
+            # 1 - 0.8 * (out <= 0) is 1 ulp below 0.2 where out <= 0
+            ("(out > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE",
+             "1.0 - (out <= 0.0) * (1.0 - LEAKY_SLOPE)", "reference"),
+            # inputs=False stopping at a hidden layer instead of layer 0
+            ("if i or inputs else None", "if i > 1 or inputs else None", "partial"),
+        ],
+        ids=["fmax", "slope", "inputs-skip"],
+    )
+    def test_oracle_catches_broken_kernels(self, monkeypatch, old, new, check):
+        checks = {
+            "nan": check_nan_propagates,
+            "reference": lambda k: check_matches_reference(k, ("leaky_relu", "tanh", "leaky_relu"),
+                                                           50, 0.05, 1),
+            "partial": lambda k: check_partial_backward(k, ("relu", "relu", "linear"), 2),
+        }
+        checks[check](nn)
+        with pytest.raises((AssertionError, AttributeError)):
+            checks[check](mutant_nn(monkeypatch, old, new))
+
+
+class TestAliasing:
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    def test_forward_leaves_batch_unchanged(self, act):
+        net = nn.init_net([4, 5, 3], [act, act], seed=0)
+        batch = np.random.default_rng(0).normal(size=(7, 4))
+        kept = batch.copy()
+        nn.forward(net, batch)
+        assert_same(batch, kept)
+
+    @pytest.mark.parametrize("top", ["relu", "leaky_relu", "sigmoid", "tanh"])
+    def test_backward_leaves_gradient_and_tape_unchanged(self, top):
+        net = nn.init_net([4, 6, 3], ["leaky_relu", top], seed=1)
+        rng = np.random.default_rng(1)
+        _, tape = nn.forward(net, rng.normal(size=(7, 4)))
+        kept_tape = [(x.copy(), out.copy()) for x, out in tape]
+        upstream = rng.normal(size=(7, 3))
+        kept = upstream.copy()
+        grads, grad_in = nn.backward(net, tape, upstream)
+        assert_same(upstream, kept)
+        for (x, out), (kx, kout) in zip(tape, kept_tape):
+            assert_same(x, kx)
+            assert_same(out, kout)
+        again, again_in = nn.backward(net, tape, upstream)
+        assert_same_grads(again, grads)
+        assert_same(again_in, grad_in)
+
+    @pytest.mark.parametrize(
+        "acts", [("relu", "relu", "linear"), ("leaky_relu", "leaky_relu", "linear"),
+                 ("tanh", "sigmoid", "softmax")]
+    )
+    def test_partial_backward(self, acts):
+        check_partial_backward(nn, acts, 4)
+
+    @pytest.mark.parametrize("flags", [{}, {"params": False}, {"inputs": False}])
+    def test_gradient_shape_checked(self, flags):
+        net = nn.init_net([4, 3, 2], ["relu", "linear"], seed=0)
+        _, tape = nn.forward(net, np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="gradient shape"):
+            nn.backward(net, tape, np.zeros((5, 3)), **flags)
+
+
+class TestCallersMatchReference:
+    """The GAN, PPO and MLP training loops give the same bits with the
+    reference forward, backward and optimizer step patched in."""
+
+    def _both(self, monkeypatch, run):
+        real = run()
+        with monkeypatch.context() as m:
+            m.setattr(nn, "forward", reference_forward)
+            m.setattr(nn, "backward", reference_backward)
+            m.setattr(nn, "update_params", reference_update_params)
+            ref = run()
+        return real, ref
+
+    def test_train_gan(self, monkeypatch):
+        records, labels = make_surrogate_records(1000, seed=0)
+        t = ds.fit_transformer(records)
+        data = ds.EncodedDataset(t.encode_matrix(records), labels)
+        cfg = gan.GanConfig(epochs=1, batch_size=500, critic_steps=5, hidden=(256, 256), seed=0)
+
+        def run():
+            model, history = gan.train_gan(data, t, cfg)
+            return model.generator.params, model.critic.params, np.array(history)
+
+        real, ref = self._both(monkeypatch, run)
+        assert len(real[2]) == 2  # generator steps
+        for a, b in zip(real, ref):
+            assert_same(a, b)
+
+    def test_ppo_update(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        T = 256
+        buffer = agent.RolloutBuffer(
+            states=rng.normal(size=(T, 6)), actions=rng.integers(0, 5, size=T),
+            log_probs=np.log(rng.uniform(0.1, 0.5, size=T)), rewards=rng.normal(size=T),
+            dones=rng.random(T) < 0.1, values=rng.normal(size=T), next_value=0.0,
+        )
+        agent.compute_gae(buffer, 0.99, 0.95)
+        cfg = agent.PpoConfig(minibatch=64)
+
+        def run():
+            policy = agent.PolicyNet(6, 5, seed=0)
+            stats = agent.ppo_update(policy, buffer, cfg, rng=np.random.default_rng(1))
+            return [net.params for net in policy.nets()] + [np.array(list(stats.values()))]
+
+        real, ref = self._both(monkeypatch, run)
+        for a, b in zip(real, ref):
+            assert_same(a, b)
+
+    def test_train_mlp(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(600, 10)), rng.integers(0, 5, size=600)
+        real, ref = self._both(
+            monkeypatch, lambda: baselines.train_mlp(X, y, epochs=1, seed=0).net.params
+        )
+        assert_same(real, ref)
