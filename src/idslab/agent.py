@@ -8,8 +8,10 @@ inverse-CDF action draw (`sample_actions`), and one lookup of rewards and
 dones in the environment's reward table.
 Updates use the clipped-ratio surrogate with generalized advantage
 estimation and log per-update diagnostics, approximate KL and explained
-variance included; a non-finite loss stops training.  Evaluation replays
-the test set once, argmax action per record, no episode mechanics.
+variance included; a non-finite loss stops training.  Each minibatch step
+is one fused backward pass into one gradient vector, one norm clip and one
+Adam step on one parameter vector.  Evaluation replays the test set once,
+argmax action per record, no episode mechanics.
 """
 
 from __future__ import annotations
@@ -40,15 +42,9 @@ _LOGP_FLOOR = 1e-12  # probability clamp for logs; float64 keeps this benign
 TRUNK_SIZES = (128, 64, 32)
 TRUNK_ACTIVATIONS = ("relu", "sigmoid")
 _NET_NAMES = ("trunk", "policy", "value")  # checkpoint names, in nets() order
-UPDATE_STATS = (
-    "loss",
-    "policy_loss",
-    "value_loss",
-    "entropy",
-    "clip_fraction",
-    "approx_kl",
-    "explained_variance",
-)
+# one minibatch's stats, in the order _minibatch_grad returns them, then the rollout's
+UPDATE_STATS = ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction", "approx_kl",
+                "explained_variance")
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,26 @@ class PpoConfig:
 
 
 class PolicyNet:
-    """Shared trunk, softmax policy head, linear value head."""
+    """Shared trunk, softmax policy head, linear value head: views of one `params`
+    vector, in nets() order; `grads` holds their (dW, db) views of `grad`."""
 
     def __init__(self, obs_dim, action_count, trunk_activation="relu", seed=0):
         if trunk_activation not in TRUNK_ACTIVATIONS:
             raise ValueError("trunk activation must be relu or sigmoid")
-        self.trunk = nn.init_net(
-            [obs_dim, *TRUNK_SIZES], [trunk_activation] * 3, seed=seed
-        )
-        self.policy_head = nn.init_net([TRUNK_SIZES[-1], action_count], ["softmax"], seed=seed + 1)
-        self.value_head = nn.init_net([TRUNK_SIZES[-1], 1], ["linear"], seed=seed + 2)
+        self._share([
+            nn.init_net([obs_dim, *TRUNK_SIZES], [trunk_activation] * 3, seed=seed),
+            nn.init_net([TRUNK_SIZES[-1], action_count], ["softmax"], seed=seed + 1),
+            nn.init_net([TRUNK_SIZES[-1], 1], ["linear"], seed=seed + 2),
+        ])
+
+    def _share(self, nets):
+        bounds = np.cumsum([net.params.size for net in nets])[:-1]
+        self.params = np.concatenate([net.params for net in nets])
+        self.grad = np.zeros_like(self.params)
+        self.trunk, self.policy_head, self.value_head = map(
+            nn.pack, nets, np.split(self.params, bounds))
+        self.grads = [[*zip(g.weights, g.biases)]
+                      for g in map(nn.pack, nets, np.split(self.grad, bounds))]
 
     @property
     def obs_dim(self):
@@ -125,7 +131,7 @@ class PolicyNet:
     def load(cls, path):
         nets, _ = nn.load_checkpoint(path)
         policy = object.__new__(cls)
-        policy.trunk, policy.policy_head, policy.value_head = (nets[n] for n in _NET_NAMES)
+        policy._share([nets[n] for n in _NET_NAMES])
         return policy
 
 
@@ -182,20 +188,14 @@ def compute_gae(buffer, gamma, lam):
     return advantages, returns
 
 
-def ppo_loss_and_grads(policy, batch, config):
-    """Mean PPO loss over a minibatch and gradients for all three nets.
+def _minibatch_grad(policy, states, actions, old_logp, adv, returns, config):
+    """One PPO minibatch: returns the first six UPDATE_STATS and leaves the gradient
+    in policy.grad, by nn.backward's arithmetic fused over the three nets.
 
-    loss = -min(ratio * A, clip(ratio) * A) + value_coef * (V - R)^2
-           - entropy_coef * H
+    loss = -min(ratio * A, clip(ratio) * A) + value_coef * (V - R)^2 - entropy_coef * H
     """
-    states = batch["states"]
-    actions = batch["actions"]
-    old_logp = batch["log_probs"]
-    adv = batch["advantages"]
-    returns = batch["returns"]
     m = actions.size
-
-    probs, values, (trunk_tape, policy_tape, value_tape) = policy.forward(states)
+    probs, values, (trunk_tape, _, _) = policy.forward(states)
     p_clamped = np.maximum(probs, _LOGP_FLOOR)
     logp_all = np.log(p_clamped)
     logp = logp_all[np.arange(m), actions]
@@ -207,33 +207,47 @@ def ppo_loss_and_grads(policy, batch, config):
     entropy = -(probs * logp_all).sum(axis=1)
     value_err = values - returns
 
-    policy_loss = -float(surrogate.mean())
-    value_loss = float((value_err**2).mean())
-    entropy_mean = float(entropy.mean())
+    # np.add.reduce(a) / m is a.mean() without numpy's Python-level wrapper
+    policy_loss = -float(np.add.reduce(surrogate) / m)
+    value_loss = float(np.add.reduce(value_err**2) / m)
+    entropy_mean = float(np.add.reduce(entropy) / m)
     loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy_mean
 
     # gradient w.r.t. action probabilities
     g_probs = config.entropy_coef * (logp_all + 1.0) / m  # from -coef * mean(H)
     use_unclipped = unclipped <= clipped  # subgradient choice at equality
     coeff = -(use_unclipped * ratio * adv) / m  # d(policy_loss)/d(logp_a)
-    g_probs = np.array(g_probs)
     g_probs[np.arange(m), actions] += coeff / p_clamped[np.arange(m), actions]
-
     g_values = (2.0 * config.value_coef * value_err / m)[:, None]
 
-    policy_grads, g_h_policy = nn.backward(policy.policy_head, policy_tape, g_probs)
-    value_grads, g_h_value = nn.backward(policy.value_head, value_tape, g_values)
-    trunk_grads, _ = nn.backward(policy.trunk, trunk_tape, g_h_policy + g_h_value, inputs=False)
+    trunk = policy.trunk
+    trunk_grads, (head_grad,), (value_grad,) = policy.grads
+    h = trunk_tape[-1][1]
+    dz = nn.softmax_backward(probs, g_probs)
+    np.matmul(h.T, dz, out=head_grad[0])
+    dz.sum(axis=0, out=head_grad[1])
+    g_h = dz @ policy.policy_head.weights[0].T
+    np.matmul(h.T, g_values, out=value_grad[0])
+    g_values.sum(axis=0, out=value_grad[1])
+    g_h += g_values @ policy.value_head.weights[0].T
+    for i in range(trunk.n_layers - 1, -1, -1):
+        x, out = trunk_tape[i]
+        dz = nn._act_backward(trunk.activations[i], out, g_h)
+        np.matmul(x.T, dz, out=trunk_grads[i][0])
+        dz.sum(axis=0, out=trunk_grads[i][1])
+        if i:
+            g_h = dz @ trunk.weights[i].T
+    return (loss, policy_loss, value_loss, entropy_mean,
+            float(np.add.reduce(~use_unclipped, dtype=np.float64) / m),
+            float(np.add.reduce(old_logp - logp) / m))
 
-    stats = {
-        "loss": loss,
-        "policy_loss": policy_loss,
-        "value_loss": value_loss,
-        "entropy": entropy_mean,
-        "clip_fraction": float((~use_unclipped).mean()),
-        "approx_kl": float((old_logp - logp).mean()),
-    }
-    return loss, (trunk_grads, policy_grads, value_grads), stats
+
+def ppo_loss_and_grads(policy, batch, config):
+    """Mean PPO loss over a minibatch, per-net (dW, db) gradients (copies) and stats."""
+    row = _minibatch_grad(policy, batch["states"], batch["actions"], batch["log_probs"],
+                          batch["advantages"], batch["returns"], config)
+    grads = [[(dw.copy(), db.copy()) for dw, db in layers] for layers in policy.grads]
+    return row[0], grads, dict(zip(UPDATE_STATS, row))
 
 
 def explained_variance(values, returns):
@@ -242,7 +256,7 @@ def explained_variance(values, returns):
     return float(1.0 - (returns - values).var() / var) if var > 0 else 0.0
 
 
-def ppo_update(policy, buffer, config, optimizers=None, rng=None):
+def ppo_update(policy, buffer, config, opt=None, rng=None):
     """update_epochs passes of shuffled minibatch updates; returns stats.
 
     The stats are the minibatch means of the loss terms, clip fraction and
@@ -250,46 +264,28 @@ def ppo_update(policy, buffer, config, optimizers=None, rng=None):
     Raises FloatingPointError on the first non-finite minibatch loss,
     before any optimizer step applies it.
     """
-    if optimizers is None:
-        optimizers = make_optimizers(policy, config)
+    opt = opt if opt is not None else nn.OptState.for_net(policy, "adam", config.learning_rate)
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     adv = buffer.advantages
-    std = adv.std()
-    norm_adv = (adv - adv.mean()) / (std + 1e-8)
-    T = len(buffer)
-    all_stats = []
+    norm_adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    T, size = len(buffer), config.minibatch
+    per_epoch = -(-T // size)
+    stats = np.empty((len(UPDATE_STATS) - 1, config.update_epochs * per_epoch))
     for epoch in range(config.update_epochs):
         order = rng.permutation(T)
-        for start in range(0, T, config.minibatch):
-            idx = order[start : start + config.minibatch]
-            batch = {
-                "states": buffer.states[idx],
-                "actions": buffer.actions[idx],
-                "log_probs": buffer.log_probs[idx],
-                "advantages": norm_adv[idx],
-                "returns": buffer.returns[idx],
-            }
-            loss, grads, stats = ppo_loss_and_grads(policy, batch, config)
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    f"drl-train: non-finite PPO loss ({loss}) in update epoch {epoch}, "
-                    f"minibatch {start // config.minibatch}"
-                )
-            nn.clip_global_norm(grads, config.max_grad_norm)
-            for net, g, opt in zip(policy.nets(), grads, optimizers):
-                nn.opt_step(net, g, opt)
-            all_stats.append(stats)
-    means = {
-        key: float(np.mean([s[key] for s in all_stats])) if all_stats else 0.0
-        for key in UPDATE_STATS
-        if key != "explained_variance"  # a rollout-level value, set below
-    }
+        columns = [a[order] for a in (buffer.states, buffer.actions, buffer.log_probs,
+                                      norm_adv, buffer.returns)]
+        for j in range(per_epoch):
+            row = _minibatch_grad(policy, *(a[j * size : (j + 1) * size] for a in columns), config)
+            if not math.isfinite(row[0]):
+                raise FloatingPointError(f"drl-train: non-finite PPO loss ({row[0]}) in "
+                                         f"update epoch {epoch}, minibatch {j}")
+            nn.clip_global_norm(policy.grads, config.max_grad_norm)
+            nn.update_params(policy.params, policy.grad, opt)
+            stats[:, epoch * per_epoch + j] = row
+    means = dict(zip(UPDATE_STATS, (float(np.mean(s)) if s.size else 0.0 for s in stats)))
     means["explained_variance"] = explained_variance(buffer.values, buffer.returns)
     return means
-
-
-def make_optimizers(policy, config):
-    return [nn.OptState.for_net(net, "adam", config.learning_rate) for net in policy.nets()]
 
 
 @dataclass
@@ -344,14 +340,14 @@ def train(env_, policy, config, eval_data=None):
     Evaluation rows need eval_data; update rows are logged either way.
     """
     log = TrainLog()
-    optimizers = make_optimizers(policy, config)
+    opt = nn.OptState.for_net(policy, "adam", config.learning_rate)
     rng = np.random.default_rng(config.seed)
     timesteps = 0
     next_eval = config.eval_every
     while timesteps < config.total_timesteps:
         buffer = _collect_rollout(env_, policy, config, rng)
         compute_gae(buffer, config.gamma, config.gae_lambda)
-        stats = ppo_update(policy, buffer, config, optimizers=optimizers, rng=rng)
+        stats = ppo_update(policy, buffer, config, opt=opt, rng=rng)
         timesteps += len(buffer)
         log.updates.append((timesteps, stats))
         if eval_data is not None and timesteps >= next_eval:

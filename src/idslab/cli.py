@@ -181,8 +181,8 @@ def validate_config(config):
         problems.append(f"mode must be binary or multiclass, got {config['mode']!r}")
     if config["source"] not in SOURCES:
         problems.append(f"source must be one of {SOURCES}, got {config['source']!r}")
-    if not _is_int(config["seed"]):
-        problems.append("seed must be an integer")
+    if not _is_int(config["seed"]) or config["seed"] < 0:
+        problems.append(f"seed must be a non-negative integer, got {config['seed']!r}")
     for key in ("train_path", "test_path"):
         if not config[key]:
             problems.append(f"{key} missing (set it or export IDSLAB_DATA_DIR)")
@@ -298,12 +298,8 @@ def stage_gan_eval(config):
     )
     train_labels = ds.labels_for(train_records)
     # cap the real side for tractable detection-classifier folds
-    cap = config["rows"]
-    if cap and len(train_records) > cap:
-        rng = np.random.default_rng(config["seed"])
-        idx = rng.choice(len(train_records), size=cap, replace=False)
-        train_records = train_records[idx]
-        train_labels = train_labels[idx]
+    train_records, train_labels = _subsample(train_records, train_labels, config["rows"],
+                                             config["seed"])
     lines = ["dataset,cstest,kstest,kstest_extended,detection"]
     for source in ("wgan", "wgan-conditional"):
         records, labels = _load_synthetic(config, source)
@@ -363,9 +359,9 @@ def stage_drl_eval(config):
 
 
 def _subsample(X, y, cap, seed):
-    if cap and X.shape[0] > cap:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(X.shape[0], size=cap, replace=False)
+    """At most `cap` rows of X (a matrix or Records) and y, drawn without replacement."""
+    if cap and len(X) > cap:
+        idx = np.random.default_rng(seed).choice(len(X), size=cap, replace=False)
         return X[idx], y[idx]
     return X, y
 

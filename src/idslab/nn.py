@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "DenseNet",
     "OptState",
+    "pack",
     "init_net",
     "forward",
     "backward",
@@ -112,13 +113,15 @@ class DenseNet:
         return self.weights[-1].shape[1]
 
 
-def _pack(weights, biases, activations):
-    """A DenseNet holding copies of the given arrays as views into one vector."""
-    arrays = [a for w, b in zip(weights, biases) for a in (w, b)]
-    params = np.concatenate([a.ravel() for a in arrays])
+def pack(net, params=None):
+    """A DenseNet shaped like `net` whose weights and biases are views of the vector
+    `params` (default: a new one holding copies of net's arrays), in params order."""
+    arrays = [a for w, b in zip(net.weights, net.biases) for a in (w, b)]
+    if params is None:
+        params = np.concatenate([a.ravel() for a in arrays])
     bounds = np.cumsum([a.size for a in arrays])[:-1]
     views = [part.reshape(a.shape) for part, a in zip(np.split(params, bounds), arrays)]
-    return DenseNet(params, views[0::2], views[1::2], list(activations))
+    return DenseNet(params, views[0::2], views[1::2], list(net.activations))
 
 
 def init_net(layer_sizes, activations, seed):
@@ -140,7 +143,7 @@ def init_net(layer_sizes, activations, seed):
             std = np.sqrt(1.0 / fan_in)
         weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return _pack(weights, biases, activations)
+    return pack(DenseNet(None, weights, biases, activations))
 
 
 def forward(net, batch):
@@ -277,11 +280,8 @@ def load_checkpoint(path):
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {header.get('version')}")
         nets = {
-            name: _pack(
-                [z[f"{name}_w{i}"] for i in range(len(acts))],
-                [z[f"{name}_b{i}"] for i in range(len(acts))],
-                acts,
-            )
+            name: pack(DenseNet(None, [z[f"{name}_w{i}"] for i in range(len(acts))],
+                                [z[f"{name}_b{i}"] for i in range(len(acts))], acts))
             for name, acts in header["nets"].items()
         }
     return nets, header["meta"]

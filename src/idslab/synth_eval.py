@@ -256,6 +256,15 @@ def _stratified_folds(flags, n_folds, rng):
     return assignment
 
 
+def _fold_moments(X, train):
+    """Per fold, the means and stds of X's columns over the fold's training rows."""
+    # std(where=) centres a copy of its operand, hence blocks of about 16 columns.  No
+    # block is 1 wide unless X is: numpy sums a lone column in another order.
+    blocks = np.array_split(X, -(-X.shape[1] // 16), axis=1)
+    return (np.array([np.concatenate([stat(b, axis=0, where=rows[:, None]) for b in blocks])
+                      for rows in train]) for stat in (np.mean, np.std))
+
+
 def detection_score(real_records, synth_records, folds=5, seed=0,
                     l2=1e-4, epochs=300, lr=1e-2):
     """1 - mean ROC AUC of a k-fold logistic real/synth discriminator.
@@ -277,8 +286,7 @@ def detection_score(real_records, synth_records, folds=5, seed=0,
         [np.zeros(len(real_records), dtype=np.int64), np.ones(len(synth_records), dtype=np.int64)]
     )
     train = _stratified_folds(flags, folds, np.random.default_rng(seed)) != np.arange(folds)[:, None]
-    mu = np.array([X.mean(axis=0, where=rows[:, None]) for rows in train])
-    sd = np.array([X.std(axis=0, where=rows[:, None]) for rows in train])
+    mu, sd = _fold_moments(X, train)
     sd[sd == 0.0] = 1.0
     _, probs = _fit_softmax(X, flags, 2, train, mu, sd, range(seed, seed + folds), l2, epochs, lr)
     aucs = [roc_auc(p[1, ~rows], flags[~rows]) for p, rows in zip(probs, train)]

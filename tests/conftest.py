@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from idslab import agent
 from idslab import dataset as ds
 from idslab import nn
 
@@ -177,6 +178,56 @@ def reference_update_params(params, grad, state):
         v *= state.decay
         v += (1.0 - state.decay) * grad * grad
         params -= state.lr * grad / (np.sqrt(v) + state.eps)
+
+
+def reference_ppo_loss_and_grads(policy, batch, config):
+    """`agent.ppo_loss_and_grads` before the fused kernel: the loss through
+    `PolicyNet.forward`'s tapes and the three nets' gradients through `nn.backward`."""
+    states = batch["states"]
+    actions = batch["actions"]
+    old_logp = batch["log_probs"]
+    adv = batch["advantages"]
+    returns = batch["returns"]
+    m = actions.size
+
+    probs, values, (trunk_tape, policy_tape, value_tape) = policy.forward(states)
+    p_clamped = np.maximum(probs, agent._LOGP_FLOOR)
+    logp_all = np.log(p_clamped)
+    logp = logp_all[np.arange(m), actions]
+    ratio = np.exp(logp - old_logp)
+
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * adv
+    surrogate = np.minimum(unclipped, clipped)
+    entropy = -(probs * logp_all).sum(axis=1)
+    value_err = values - returns
+
+    policy_loss = -float(surrogate.mean())
+    value_loss = float((value_err**2).mean())
+    entropy_mean = float(entropy.mean())
+    loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy_mean
+
+    g_probs = config.entropy_coef * (logp_all + 1.0) / m
+    use_unclipped = unclipped <= clipped
+    coeff = -(use_unclipped * ratio * adv) / m
+    g_probs = np.array(g_probs)
+    g_probs[np.arange(m), actions] += coeff / p_clamped[np.arange(m), actions]
+
+    g_values = (2.0 * config.value_coef * value_err / m)[:, None]
+
+    policy_grads, g_h_policy = nn.backward(policy.policy_head, policy_tape, g_probs)
+    value_grads, g_h_value = nn.backward(policy.value_head, value_tape, g_values)
+    trunk_grads, _ = nn.backward(policy.trunk, trunk_tape, g_h_policy + g_h_value, inputs=False)
+
+    stats = {
+        "loss": loss,
+        "policy_loss": policy_loss,
+        "value_loss": value_loss,
+        "entropy": entropy_mean,
+        "clip_fraction": float((~use_unclipped).mean()),
+        "approx_kl": float((old_logp - logp).mean()),
+    }
+    return loss, (trunk_grads, policy_grads, value_grads), stats
 
 
 # --- the per-row record path the column codec replaced, kept as oracles ------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from idslab import agent, dataset as ds, env as ids_env
+from idslab import agent, dataset as ds, env as ids_env, nn
 
-from conftest import make_surrogate_records
+from conftest import make_surrogate_records, reference_ppo_loss_and_grads
+from test_nn import assert_same, assert_same_grads
 
 
 def make_buffer(rewards, values, dones, next_value=0.0):
@@ -199,6 +201,75 @@ class TestPpoLoss:
         actions, log_probs = agent.sample_actions(probs, rng)
         assert np.isfinite(log_probs).all() and np.isfinite(values).all()
         assert set(actions.tolist()) <= {0, 1}
+
+
+def random_buffer(rng, T, obs_dim, action_count):
+    buf = make_buffer(rng.normal(size=T), rng.normal(size=T), rng.random(T) < 0.1,
+                      next_value=float(rng.normal()))
+    buf.states = rng.normal(size=(T, obs_dim))
+    buf.actions = rng.integers(0, action_count, size=T)
+    buf.log_probs = np.log(rng.uniform(0.1, 0.6, size=T))
+    agent.compute_gae(buf, 0.99, 0.95)
+    return buf
+
+
+class TestFusedKernel:
+    """ppo_loss_and_grads is a fused kernel; the composition through
+    PolicyNet.forward and nn.backward it replaced is the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 256), act=st.sampled_from(agent.TRUNK_ACTIVATIONS),
+           k=st.sampled_from([2, 5]), seed=st.integers(0, 2**16))
+    def test_matches_reference_bit_for_bit(self, m, act, k, seed):
+        policy = agent.PolicyNet(7, k, trunk_activation=act, seed=seed)
+        cfg = agent.PpoConfig(trunk_activation=act)
+        batch = frozen_batch(policy, m=m, seed=seed)
+        loss, grads, stats = agent.ppo_loss_and_grads(policy, batch, cfg)
+        ref_loss, ref_grads, ref_stats = reference_ppo_loss_and_grads(policy, batch, cfg)
+        assert list(stats) == list(ref_stats)
+        assert_same(np.array([loss, *stats.values()]), np.array([ref_loss, *ref_stats.values()]))
+        # a second call leaves the gradients the first one returned as they were
+        agent.ppo_loss_and_grads(policy, frozen_batch(policy, m=m, seed=seed + 1), cfg)
+        for net_grads, ref_net_grads in zip(grads, ref_grads, strict=True):
+            assert_same_grads(net_grads, ref_net_grads)
+
+        buf = random_buffer(np.random.default_rng(seed), m, 7, k)
+        kept = {name: np.copy(getattr(buf, name)) for name in vars(buf)}
+        agent.ppo_update(policy, buf, agent.PpoConfig(minibatch=64), rng=np.random.default_rng(0))
+        for name, array in kept.items():
+            assert_same(np.asarray(getattr(buf, name)), array)
+
+    def test_stats_are_means_over_minibatches(self):
+        # 100 rows in minibatches of 64 and 36: a row-weighted mean would differ
+        T, k = 100, 3
+        cfg = agent.PpoConfig(rollout_length=T, minibatch=64)
+        buf = random_buffer(np.random.default_rng(20), T, 6, k)
+        policy = agent.PolicyNet(6, k, seed=21)
+        stats = agent.ppo_update(policy, buf, cfg, rng=np.random.default_rng(22))
+
+        # replay with the reference kernel and one optimizer per net
+        replay = agent.PolicyNet(6, k, seed=21)
+        opts = [nn.OptState.for_net(net, "adam", cfg.learning_rate) for net in replay.nets()]
+        rng = np.random.default_rng(22)
+        adv = buf.advantages
+        norm_adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        per_minibatch = []
+        for _ in range(cfg.update_epochs):
+            order = rng.permutation(T)
+            for idx in (order[:64], order[64:]):
+                batch = {"states": buf.states[idx], "actions": buf.actions[idx],
+                         "log_probs": buf.log_probs[idx], "advantages": norm_adv[idx],
+                         "returns": buf.returns[idx]}
+                _, grads, minibatch_stats = reference_ppo_loss_and_grads(replay, batch, cfg)
+                nn.clip_global_norm(grads, cfg.max_grad_norm)
+                for net, g, opt in zip(replay.nets(), grads, opts):
+                    nn.opt_step(net, g, opt)
+                per_minibatch.append(minibatch_stats)
+        assert_same(policy.params, replay.params)
+        for key in per_minibatch[0]:
+            assert stats[key] == float(np.mean([s[key] for s in per_minibatch]))
+        losses = [s["loss"] for s in per_minibatch]
+        assert stats["loss"] != float(np.average(losses, weights=[64, 36] * cfg.update_epochs))
 
 
 class _FixedUniform:

@@ -82,6 +82,12 @@ class TestValidation:
         assert run(["preprocess", "--set", override]) == cli.EXIT_VALIDATION
         assert not (workdir / "runs").exists()
 
+    def test_negative_seed_named_before_any_stage(self, workdir, capsys):
+        # numpy rejects it only inside gan-train or drl-train, after preprocess ran
+        assert run(["run-all", "--set", "seed=-1"]) == cli.EXIT_VALIDATION
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (workdir / "runs").exists()
+
     def test_list_accepted_for_tuple_field(self, workdir):
         assert run(["preprocess", "--set", "gan.hidden=[32,32]"]) == cli.EXIT_OK
 

@@ -289,6 +289,22 @@ class TestDetection:
             assert np.max(np.abs(got - want)) < 1e-9
         assert abs(score - want_score) < 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(10, 2000), d=st.integers(1, 70), folds=st.integers(2, 5),
+           one_hot=st.booleans(), seed=st.integers(0, 2**16))
+    def test_fold_moments_match_whole_matrix(self, n, d, folds, one_hot, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d)) * rng.choice([1.0, 1e3], size=d)
+        if one_hot:
+            X = (X > 0.5) * 1.0
+        train = rng.permutation(n) % folds != np.arange(folds)[:, None]
+        mu, sd = se._fold_moments(X, train)
+        for fold, rows in enumerate(train):
+            want_mu = X.mean(axis=0, where=rows[:, None])
+            want_sd = X.std(axis=0, where=rows[:, None])
+            assert mu[fold].tobytes() == want_mu.tobytes()
+            assert sd[fold].tobytes() == want_sd.tobytes()
+
     def test_shuffled_copy_near_half(self):
         # sample size matters: at small n the discriminator memorizes the
         # duplicated rows and lands below chance on held-out folds
