@@ -1,9 +1,10 @@
 """Dense feed-forward networks with manual backpropagation.
 
 Shared numeric kernel for the GAN, the PPO agent, and the MLP/logistic
-baselines.  Everything is float64 and deterministic per seed; a net's
-weights and biases are views into one parameter vector, and one checkpoint
-format stores any named set of nets bit-exactly.
+baselines.  Each kernel computes in the dtype of the net it is given: the
+GAN's nets are float32, the rest float64.  All is deterministic per seed; a
+net's weights and biases are views into one parameter vector, and one
+checkpoint format stores any named set of nets bit-exactly.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ def softmax_backward(out, grad):
     return out * (grad - inner)
 
 
-def one_hot(ids, k):
+def one_hot(ids, k, dtype=np.float64):
     """Rows of k float slots with a 1 at each id."""
     n = np.size(ids)
-    out = np.zeros((n, k))
+    out = np.zeros((n, k), dtype)
     out[np.arange(n), ids] = 1.0
     return out
 
@@ -80,8 +81,9 @@ def _act_backward(name, out, grad):
     overwrites grad except for softmax."""
     if name == "relu":
         return np.multiply(grad, out > 0.0, out=grad)
-    if name == "leaky_relu":  # the slope is exactly 1.0 or LEAKY_SLOPE
-        return np.multiply(grad, (out > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE, out=grad)
+    if name == "leaky_relu":  # the slope is exactly 1.0 or LEAKY_SLOPE, in out's dtype
+        slope = np.multiply(out > 0.0, 1.0 - LEAKY_SLOPE, dtype=out.dtype) + LEAKY_SLOPE
+        return np.multiply(grad, slope, out=grad)
     if name == "sigmoid":
         return np.multiply(np.multiply(grad, out, out=grad), 1.0 - out, out=grad)
     if name == "tanh":
@@ -149,7 +151,7 @@ def init_net(layer_sizes, activations, seed):
 def forward(net, batch):
     """Run the net; returns (outputs, tape), the tape holding each layer's
     (input, output) for backward()."""
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=net.params.dtype)
     if x.ndim != 2:
         raise ValueError(f"input must be a 2-D batch, got {x.ndim}-D")
     if x.shape[1] != net.in_dim:
@@ -174,7 +176,7 @@ def backward(net, tape, output_gradient, *, params=True, inputs=True):
     gradients work in place on copies; output_gradient and the tape stay as
     they are.
     """
-    grad = np.array(output_gradient, dtype=np.float64)  # a copy: overwritten below
+    grad = np.array(output_gradient, dtype=net.params.dtype)  # a copy: overwritten below
     param_grads = [None] * net.n_layers
     for i in range(net.n_layers - 1, -1, -1):
         x, out = tape[i]
@@ -217,7 +219,7 @@ def update_params(params, grad, state):
     every term is the textbook expression's, written into one scratch allocation."""
     state.t += 1
     m, v = state.m, state.v
-    num, den = np.empty((2, *grad.shape))
+    num, den = np.empty((2, *grad.shape), grad.dtype)
     if state.algo == "adam":
         m *= state.beta1
         m += np.multiply(grad, 1.0 - state.beta1, out=num)

@@ -117,11 +117,11 @@ def reference_act_forward(name, z):
 
 
 def reference_act_backward(name, out, grad):
-    """`nn._act_backward` returning a fresh array, np.where leaky-ReLU slope."""
+    """`nn._act_backward` returning a fresh array, np.where leaky-ReLU slope in out's dtype."""
     if name == "relu":
         return grad * (out > 0.0)
     if name == "leaky_relu":
-        return grad * np.where(out > 0.0, 1.0, nn.LEAKY_SLOPE)
+        return grad * np.where(out > 0.0, 1.0, nn.LEAKY_SLOPE).astype(out.dtype)
     if name == "sigmoid":
         return grad * out * (1.0 - out)
     if name == "tanh":
@@ -135,7 +135,7 @@ def reference_act_backward(name, out, grad):
 
 def reference_forward(net, batch):
     """`nn.forward` computing each layer as act(x @ w + b) out of place."""
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=net.params.dtype)
     if x.ndim != 2:
         raise ValueError(f"input must be a 2-D batch, got {x.ndim}-D")
     if x.shape[1] != net.in_dim:
@@ -150,7 +150,7 @@ def reference_forward(net, batch):
 
 def reference_backward(net, tape, output_gradient, *, params=True, inputs=True):
     """`nn.backward` computing every gradient; the two keywords are ignored."""
-    grad = np.asarray(output_gradient, dtype=np.float64)
+    grad = np.asarray(output_gradient, dtype=net.params.dtype)
     param_grads = [None] * net.n_layers
     for i in range(net.n_layers - 1, -1, -1):
         x, out = tape[i]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,27 @@ class TestCheckpoint:
         rows_back = gan.sample_unconditional(back, 40, seed=3)
         assert [(r.values, l) for r, l in rows] == [(r.values, l) for r, l in rows_back]
 
+    def test_float64_checkpoint_loads_as_float32(self, tmp_path):
+        # gan_model.npz files written before the GAN moved to float32 hold float64 nets
+        model, _, _ = surrogate_model(epochs=1)
+        model.save(tmp_path / "new.npz")
+        old = dataclasses.replace(
+            model, generator=nn.pack(model.generator, model.generator.params.astype(np.float64)),
+            critic=nn.pack(model.critic, model.critic.params.astype(np.float64)))
+        old.save(tmp_path / "old.npz")
+        for name, dtype in (("new.npz", np.float32), ("old.npz", np.float64)):
+            with np.load(tmp_path / name) as z:
+                assert z["generator_w0"].dtype == z["critic_b0"].dtype == dtype
+        back = gan.GanModel.load(tmp_path / "old.npz")
+        # model is old cast to float32: float32 -> float64 -> float32 is exact
+        for net, net_back in ((model.generator, back.generator), (model.critic, back.critic)):
+            assert net_back.params.dtype == np.float32
+            assert net_back.params.tobytes() == net.params.tobytes()
+            assert all(np.shares_memory(w, net_back.params) for w in net_back.weights)
+        rows = gan.sample_unconditional(model, 40, seed=3)
+        rows_back = gan.sample_unconditional(back, 40, seed=3)
+        assert [(r.values, l) for r, l in rows] == [(r.values, l) for r, l in rows_back]
+
 
 class TestTrain:
     def test_zero_epochs_empty_history(self):
@@ -123,23 +146,46 @@ class TestTrain:
         for b in model.critic.biases:
             assert np.max(np.abs(b)) <= 0.01 + 1e-12
 
-    def test_one_pass_critic_gradient_matches_two_passes(self):
+    @staticmethod
+    def _one_and_two_passes(dtype):
+        """The critic's one-pass loss and gradients, and the two passes' scores and
+        gradients, with the critic and its inputs in `dtype`."""
         model, _, data = surrogate_model(epochs=0)
+        critic = nn.pack(model.critic, model.critic.params.astype(dtype))
         rng = np.random.default_rng(0)
         m = 40
-        cond = nn.one_hot(np.full(m, 2), ds.N_CLASSES)
-        fake, _, _ = gan._generate_soft(model, cond, rng)
-        real = np.concatenate([data.matrix[:m], cond], axis=1)
-        loss, grads = gan._critic_loss_and_grads(model.critic, fake, real, cond)
+        cond = nn.one_hot(np.full(m, 2), ds.N_CLASSES, dtype)
+        fake = gan._generate_soft(model, cond.astype(gan.DTYPE), rng)[0].astype(dtype)
+        real = np.concatenate([data.matrix[:m], cond], axis=1).astype(dtype)
+        loss, grads = gan._critic_loss_and_grads(critic, fake, real, cond)
 
-        score_f, tape_f = nn.forward(model.critic, np.concatenate([fake, cond], axis=1))
-        score_r, tape_r = nn.forward(model.critic, np.concatenate([real, cond], axis=1))
-        grads_f, _ = nn.backward(model.critic, tape_f, np.full((m, 1), 1.0 / m))
-        grads_r, _ = nn.backward(model.critic, tape_r, np.full((m, 1), -1.0 / m))
+        score_f, tape_f = nn.forward(critic, np.concatenate([fake, cond], axis=1))
+        score_r, tape_r = nn.forward(critic, np.concatenate([real, cond], axis=1))
+        grads_f, _ = nn.backward(critic, tape_f, np.full((m, 1), 1.0 / m))
+        grads_r, _ = nn.backward(critic, tape_r, np.full((m, 1), -1.0 / m))
+        return m, loss, grads, (score_f, score_r), zip(grads_f, grads_r)
+
+    def test_one_pass_critic_gradient_matches_two_passes(self):
+        m, loss, grads, (score_f, score_r), two_pass = self._one_and_two_passes(np.float64)
         assert loss == pytest.approx(score_f.mean() - score_r.mean(), rel=0, abs=1e-12)
-        for (dw, db), gf, gr in zip(grads, grads_f, grads_r):
+        for (dw, db), (gf, gr) in zip(grads, two_pass):
             np.testing.assert_allclose(dw, gf[0] + gr[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(db, gf[1] + gr[1], rtol=0, atol=1e-12)
+
+    def test_one_pass_critic_gradient_matches_two_passes_float32(self):
+        # Each value is a float32 sum over the 2m stacked rows, which one pass and
+        # two passes add in different orders.  Two orders of an n-term sum differ
+        # by at most n * eps * sum|terms| (twice the gamma_n = n * eps / 2 bound of
+        # Higham, Accuracy and Stability of Numerical Algorithms, section 4.2);
+        # |fake part| + |real part| stands in for sum|terms|.
+        m, loss, grads, (score_f, score_r), two_pass = self._one_and_two_passes(np.float32)
+        bound = 2 * m * np.finfo(np.float32).eps
+        assert grads[0][0].dtype == np.float32
+        assert abs(loss - (score_f.mean() - score_r.mean())) <= bound * float(
+            np.abs(score_f).mean() + np.abs(score_r).mean())
+        for (dw, db), (gf, gr) in zip(grads, two_pass):
+            for got, f, r in ((dw, gf[0], gr[0]), (db, gf[1], gr[1])):
+                assert np.all(np.abs(got - (f + r)) <= bound * (np.abs(f) + np.abs(r)))
 
     @pytest.mark.slow
     def test_toy_table_marginals(self):

@@ -299,14 +299,17 @@ class TestCheckpoint:
 
 # exact zeros of both signs, subnormals and large magnitudes
 SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 1e100, -1e100, 1e300, -1e300])
+# the same for float32, where SPECIALS' subnormals flush to zero and its magnitudes overflow
+SPECIALS32 = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-40, -1e-40, 1e30, -1e30], dtype=np.float32)
 
 
-def special_array(rng, shape, share):
-    """Normal draws with about `share` of the entries, and of the rows, replaced
-    by SPECIALS; a zero row makes the pre-activation exactly the bias."""
-    a = rng.normal(size=shape)
+def special_array(rng, shape, share, specials=SPECIALS):
+    """Normal draws in specials' dtype with about `share` of the entries, and of
+    the rows, replaced by `specials`; a zero row makes the pre-activation exactly
+    the bias."""
+    a = rng.normal(size=shape).astype(specials.dtype, copy=False)
     hit = rng.random(shape) < share
-    a[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+    a[hit] = rng.choice(specials, size=int(hit.sum()))
     a[rng.random(shape[0]) < share] = rng.choice([0.0, -0.0])
     return a
 
@@ -322,28 +325,32 @@ def assert_same_grads(a, b):
         assert_same(db, rdb)
 
 
-def special_net(acts, rng, seed):
+def special_net(acts, rng, seed, specials=SPECIALS):
+    """A net in specials' dtype with `specials` in about half its biases."""
     sizes = [int(s) for s in rng.integers(1, 9, size=len(acts) + 1)]
     net = nn.init_net(sizes, acts, seed=seed)
+    net = nn.pack(net, net.params.astype(specials.dtype, copy=False))
     for b in net.biases:
-        b[:] = special_array(rng, b.shape, 0.5)
+        b[:] = special_array(rng, b.shape, 0.5, specials)
     return net
 
 
-def check_matches_reference(k, acts, n, share, seed):
+def check_matches_reference(k, acts, n, share, seed, specials=SPECIALS):
     """Kernel module `k` gives the reference's bits: activations alone, then
-    forward, its tape and backward on a net with activations `acts`."""
+    forward, its tape and backward on a net with activations `acts`, all in
+    specials' dtype."""
     rng = np.random.default_rng(seed)
-    net = special_net(acts, rng, seed)
+    net = special_net(acts, rng, seed, specials)
     with np.errstate(all="ignore"):
-        z, grad = special_array(rng, (n, 7), share), special_array(rng, (n, 7), share)
+        z = special_array(rng, (n, 7), share, specials)
+        grad = special_array(rng, (n, 7), share, specials)
         for act in set(acts):
             out = reference_act_forward(act, z)
             assert_same(k._act_forward(act, z.copy()), out)
             ref_dz = reference_act_backward(act, out, grad)
             assert_same(k._act_backward(act, out, grad.copy()), ref_dz)
-        batch = special_array(rng, (n, net.in_dim), share)
-        upstream = special_array(rng, (n, net.out_dim), share)
+        batch = special_array(rng, (n, net.in_dim), share, specials)
+        upstream = special_array(rng, (n, net.out_dim), share, specials)
         out, tape = k.forward(net, batch)
         ref_out, ref_tape = reference_forward(net, batch)
         assert_same(out, ref_out)
@@ -366,11 +373,11 @@ def check_nan_propagates(k):
         assert np.isnan(out).all()
 
 
-def check_partial_backward(k, acts, seed):
+def check_partial_backward(k, acts, seed, specials=SPECIALS):
     """params=False and inputs=False give None for what they skip and the
-    full call's bits for the rest."""
+    full call's bits for the rest, on a net in specials' dtype."""
     rng = np.random.default_rng(seed)
-    net = special_net(acts, rng, seed)
+    net = special_net(acts, rng, seed, specials)
     batch = rng.normal(size=(9, net.in_dim))
     upstream = rng.normal(size=(9, net.out_dim))
     with np.errstate(all="ignore"):
@@ -406,6 +413,17 @@ class TestMatchesReference:
     def test_kernels_bit_equal(self, act, other, n, share, seed):
         check_matches_reference(nn, (act, other, act), n, share, seed)
 
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        other=st.sampled_from(nn.ACTIVATIONS),
+        n=st.integers(1, 1200),
+        share=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_bit_equal_float32(self, act, other, n, share, seed):
+        check_matches_reference(nn, (act, other, act), n, share, seed, SPECIALS32)
+
     def test_nan_preactivation_stays_nan(self):
         check_nan_propagates(nn)
 
@@ -433,8 +451,8 @@ class TestMatchesReference:
             # fmax drops the NaN that np.maximum keeps
             ("np.maximum(z, ", "np.fmax(z, ", "nan"),
             # 1 - 0.8 * (out <= 0) is 1 ulp below 0.2 where out <= 0
-            ("(out > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE",
-             "1.0 - (out <= 0.0) * (1.0 - LEAKY_SLOPE)", "reference"),
+            ("np.multiply(out > 0.0, 1.0 - LEAKY_SLOPE, dtype=out.dtype) + LEAKY_SLOPE",
+             "1.0 - np.multiply(out <= 0.0, 1.0 - LEAKY_SLOPE, dtype=out.dtype)", "reference"),
             # inputs=False stopping at a hidden layer instead of layer 0
             ("if i or inputs else None", "if i > 1 or inputs else None", "partial"),
         ],
@@ -448,8 +466,9 @@ class TestMatchesReference:
             "partial": lambda k: check_partial_backward(k, ("relu", "relu", "linear"), 2),
         }
         checks[check](nn)
+        mutant = mutant_nn(monkeypatch, old, new)  # outside raises: `old` must be in the source
         with pytest.raises((AssertionError, AttributeError)):
-            checks[check](mutant_nn(monkeypatch, old, new))
+            checks[check](mutant)
 
 
 class TestAliasing:
@@ -485,12 +504,67 @@ class TestAliasing:
     def test_partial_backward(self, acts):
         check_partial_backward(nn, acts, 4)
 
+    @pytest.mark.parametrize(
+        "acts", [("relu", "relu", "linear"), ("leaky_relu", "leaky_relu", "linear"),
+                 ("tanh", "sigmoid", "softmax")]
+    )
+    def test_partial_backward_float32(self, acts):
+        check_partial_backward(nn, acts, 4, SPECIALS32)
+
     @pytest.mark.parametrize("flags", [{}, {"params": False}, {"inputs": False}])
     def test_gradient_shape_checked(self, flags):
         net = nn.init_net([4, 3, 2], ["relu", "linear"], seed=0)
         _, tape = nn.forward(net, np.zeros((5, 4)))
         with pytest.raises(ValueError, match="gradient shape"):
             nn.backward(net, tape, np.zeros((5, 3)), **flags)
+
+
+class TestDtype:
+    """Each kernel computes in its net's dtype: a float64 array anywhere in a
+    float32 path would upcast everything after it."""
+
+    def test_gan_and_float32_kernel_stay_float32_and_ppo_float64(self, monkeypatch):
+        f32 = np.float32
+        records, labels = make_surrogate_records(300, seed=0)
+        t = ds.fit_transformer(records)
+        data = ds.EncodedDataset(t.encode_matrix(records), labels)
+        cfg = gan.GanConfig(epochs=1, batch_size=50, critic_steps=2, noise_dim=16, hidden=(32, 32))
+        softmax_inputs = []  # the Gumbel-softmax's inside the GAN's own code
+        softmax = nn.softmax
+        with monkeypatch.context() as m:
+            m.setattr(nn, "softmax", lambda z, axis=-1: softmax_inputs.append(z) or softmax(z, axis))
+            model, _ = gan.train_gan(data, t, cfg)
+            assert model.generator.params.dtype == model.critic.params.dtype == f32
+            rng = np.random.default_rng(0)
+            fake, gen_tape, cache = gan._generate_soft(model, nn.one_hot([1] * 20, 5, f32), rng)
+            hard, _ = gan._output_transform(gen_tape[-1][1], model, rng=rng, hard=True)
+            grad_raw = gan._output_backward(np.ones_like(fake), cache, cfg.gumbel_temperature)
+        arrays = [fake, hard, grad_raw, cache[2], cache[3], *(a for xy in gen_tape for a in xy)]
+        arrays += softmax_inputs
+        assert softmax_inputs and [a.dtype for a in arrays] == [f32] * len(arrays)
+
+        net = nn.init_net([5, 6, 6, 6, 6, 6, 4], list(nn.ACTIVATIONS), seed=0)
+        net = nn.pack(net, net.params.astype(f32))
+        out, tape = nn.forward(net, rng.normal(size=(8, 5)))  # float64 batch and upstream
+        grads, grad_in = nn.backward(net, tape, rng.normal(size=(8, 4)))
+        arrays = [out, grad_in, *(a for xy in tape for a in xy), *(g for dwb in grads for g in dwb)]
+        for algo in ("adam", "rmsprop"):
+            opt = nn.OptState.for_net(net, algo, 1e-3)
+            nn.opt_step(net, grads, opt)
+            arrays += [net.params, opt.m, opt.v]
+        assert [a.dtype for a in arrays] == [f32] * len(arrays)
+
+        buffer = agent.RolloutBuffer(
+            states=rng.normal(size=(64, 6)).astype(f32),  # float32 states, float64 policy
+            actions=rng.integers(0, 5, size=64),
+            log_probs=np.log(rng.uniform(0.1, 0.5, size=64)), rewards=rng.normal(size=64),
+            dones=rng.random(64) < 0.1, values=rng.normal(size=64), next_value=0.0,
+        )
+        agent.compute_gae(buffer, 0.99, 0.95)
+        policy = agent.PolicyNet(6, 5, seed=0)
+        agent.ppo_update(policy, buffer, agent.PpoConfig(minibatch=32), rng=rng)
+        arrays = [policy.params, policy.grad, *(n.params for n in policy.nets())]
+        assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
 
 
 class TestCallersMatchReference:
