@@ -1,14 +1,17 @@
 """Conditional tabular WGAN with weight clipping.
 
-One model covers both sampling modes: the class label is generated as a
-5-slot categorical group AND fed as a condition input, so conditional
-sampling rejects the rows whose generated label disagrees with the
-requested one: 87 % of them on the benchmark run-all (accept_ratio 0.1255;
-the generator learns little class structure yet, ROADMAP open item 1).
+The class is the condition, and the condition is the label (Mirza &
+Osindero 2014; CTGAN's training-by-sampling, Xu et al. 2019): the
+generator takes noise plus a one-hot condition and emits only the encoded
+record, and the critic judges a record next to its condition.  One model
+covers both sampling modes: unconditional sampling draws the conditions
+from the training class shares, conditional sampling fixes them, and every
+generated row keeps the class it was generated under.
 
 Continuous outputs go through a sigmoid, categorical groups through
-Gumbel-softmax (soft samples to the critic while training, argmax at
-sampling time).  Both networks train with RMSProp; critic weights are
+straight-through Gumbel-softmax: the critic, like the sampler, sees the
+one-hot Gumbel-max draw, and the generator's gradient flows through the
+softmax relaxation.  Both networks train with RMSProp; critic weights are
 clipped to +/-weight_clip after every critic step.
 
 Labels are plain class ids: `sample_unconditional` returns (RawRecord,
@@ -21,18 +24,18 @@ rows go back to float64, the codec's dtype.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .dataset import CLASS_NAMES, CLASS_SYMBOLS, N_CLASSES, Records, Transformer, _F20_RAW_INDEX
+from .dataset import CLASS_SYMBOLS, N_CLASSES, Records, Transformer, _F20_RAW_INDEX
 
 __all__ = [
     "GanConfig",
     "GanModel",
-    "SamplingStarvationError",
     "train_gan",
     "sample_unconditional",
     "sample_conditional",
@@ -40,10 +43,6 @@ __all__ = [
 ]
 
 DTYPE = np.float32  # of both nets, their inputs and their noise
-
-
-class SamplingStarvationError(RuntimeError):
-    """Conditional rejection sampling hit its attempt cap."""
 
 
 @dataclass(frozen=True)
@@ -73,22 +72,11 @@ class GanConfig:
 
 @dataclass
 class GanModel:
-    generator: nn.DenseNet  # input noise_dim + 5, linear output over all slots
-    critic: nn.DenseNet  # input record_dim + 5 condition slots, scalar output
+    generator: nn.DenseNet  # input noise_dim + 5 condition slots, linear output per record slot
+    critic: nn.DenseNet  # input total_dim record slots + 5 condition slots, scalar output
     transformer: Transformer
     class_distribution: np.ndarray  # empirical training class shares
     config: GanConfig
-
-    @property
-    def record_dim(self):
-        """Encoded feature dim plus the 5 generated label slots."""
-        return self.transformer.total_dim + N_CLASSES
-
-    def group_slices(self):
-        """Categorical group slices in the generated vector, label last."""
-        groups = [sl for _, sl in self.transformer.group_slices()]
-        groups.append(slice(self.transformer.total_dim, self.record_dim))
-        return groups
 
     def save(self, path):
         meta = {
@@ -100,29 +88,37 @@ class GanModel:
 
     @classmethod
     def load(cls, path):
-        """Read a `save` file; nets saved in float64 are cast to DTYPE."""
+        """Read a `save` file.  A file whose nets do not fit its transformer's
+        record width (the layout with generated label slots) is a ValueError."""
         nets, meta = nn.load_checkpoint(path)
-        nets = {k: nn.pack(net, net.params.astype(DTYPE)) for k, net in nets.items()}
+        transformer = Transformer.from_json(meta["transformer"])
+        found = (nets["generator"].out_dim, nets["critic"].in_dim)
+        expected = (transformer.total_dim, transformer.total_dim + N_CLASSES)
+        if found != expected:
+            raise ValueError(
+                f"{path}: generator output / critic input widths are {found[0]} / {found[1]}, "
+                f"expected {expected[0]} / {expected[1]}; the checkpoint predates the "
+                f"current GAN layout, re-run gan-train"
+            )
         cfg = dict(meta["config"])
         cfg["hidden"] = tuple(cfg["hidden"])
         return cls(
             generator=nets["generator"],
             critic=nets["critic"],
-            transformer=Transformer.from_json(meta["transformer"]),
+            transformer=transformer,
             class_distribution=np.array(meta["class_distribution"]),
             config=GanConfig(**cfg),
         )
 
 
 def _build_model(transformer, class_distribution, config):
-    record_dim = transformer.total_dim + N_CLASSES
     generator = nn.init_net(
-        [config.noise_dim + N_CLASSES, *config.hidden, record_dim],
+        [config.noise_dim + N_CLASSES, *config.hidden, transformer.total_dim],
         ["relu"] * len(config.hidden) + ["linear"],
         seed=config.seed,
     )
     critic = nn.init_net(
-        [record_dim + N_CLASSES, *config.hidden, 1],
+        [transformer.total_dim + N_CLASSES, *config.hidden, 1],
         ["leaky_relu"] * len(config.hidden) + ["linear"],
         seed=config.seed + 1,
     )
@@ -135,13 +131,16 @@ def _build_model(transformer, class_distribution, config):
     )
 
 
-def _output_transform(raw, model, rng=None, hard=False):
+def _output_transform(raw, model, rng):
     """Map the generator's linear output to a record vector.
 
-    Both modes perturb the logits with Gumbel noise, computed in float64 and
-    then cast (a uniform draw rounded to float32 can be 1.0, whose noise is
-    infinite); soft mode keeps the tau-softmax relaxation for the critic,
-    hard mode takes the argmax one-hot (a categorical draw).  Returns
+    Continuous slots go through a sigmoid.  Each categorical group is one
+    Gumbel-max draw, the one-hot argmax of its logits plus Gumbel noise
+    (computed in float64, then cast: a uniform draw rounded to float32 can be
+    1.0, whose noise is infinite).  So the critic sees one-hot groups, as in
+    real and sampled rows, and cannot tell fakes by their softness; the
+    gradient flows through the tau-softmax of the same perturbed logits
+    (straight-through Gumbel-softmax, Jang et al. 2017).  Returns
     (vector, cache) where cache backs _output_backward.
     """
     tau = model.config.gumbel_temperature
@@ -149,32 +148,33 @@ def _output_transform(raw, model, rng=None, hard=False):
     cont = model.transformer.continuous_indices()
     sig = 1.0 / (1.0 + np.exp(-raw[:, cont]))
     out[:, cont] = sig
-    groups = model.group_slices()
+    groups = [sl for _, sl in model.transformer.group_slices()]
+    soft = []
     for sl in groups:
         logits = raw[:, sl]
         gumbel = -np.log(-np.log(rng.uniform(1e-12, 1.0, size=logits.shape))).astype(raw.dtype)
-        if hard:
-            out[:, sl] = nn.one_hot(np.argmax(logits + gumbel, axis=1), logits.shape[1], raw.dtype)
-        else:
-            out[:, sl] = nn.softmax((logits + gumbel) / tau)
-    return out, (cont, groups, sig, out)
+        perturbed = logits + gumbel
+        out[:, sl] = nn.one_hot(np.argmax(perturbed, axis=1), perturbed.shape[1], raw.dtype)
+        soft.append(nn.softmax(perturbed / tau))
+    return out, (cont, groups, sig, soft)
 
 
 def _output_backward(grad_out, cache, tau):
     """Gradient through sigmoid / Gumbel-softmax back to the linear output."""
-    cont, groups, sig, out = cache
+    cont, groups, sig, soft = cache
     grad_raw = np.zeros_like(grad_out)
     grad_raw[:, cont] = grad_out[:, cont] * sig * (1.0 - sig)
-    for sl in groups:
-        grad_raw[:, sl] = nn.softmax_backward(out[:, sl], grad_out[:, sl]) / tau
+    for sl, probs in zip(groups, soft):
+        grad_raw[:, sl] = nn.softmax_backward(probs, grad_out[:, sl]) / tau
     return grad_raw
 
 
-def _generate_soft(model, conditions, rng):
+def _generate(model, conditions, rng):
+    """Record vectors generated under one-hot conditions, with the tape and
+    cache the generator step backs through."""
     noise = rng.standard_normal((conditions.shape[0], model.config.noise_dim), dtype=DTYPE)
-    gen_in = np.concatenate([noise, conditions], axis=1)
-    raw, tape = nn.forward(model.generator, gen_in)
-    fake, cache = _output_transform(raw, model, rng=rng)
+    raw, tape = nn.forward(model.generator, np.concatenate([noise, conditions], axis=1))
+    fake, cache = _output_transform(raw, model, rng)
     return fake, tape, cache
 
 
@@ -215,7 +215,7 @@ def train_gan(data, transformer, config):
     class_rows = [np.flatnonzero(data.labels == c) for c in range(N_CLASSES)]
     class_distribution = np.bincount(data.labels, minlength=N_CLASSES) / len(data)
     model = _build_model(transformer, class_distribution, config)
-    real_full = np.hstack([data.matrix, nn.one_hot(data.labels, N_CLASSES)], dtype=DTYPE)
+    real = data.matrix.astype(DTYPE)
 
     gen_opt = nn.OptState.for_net(model.generator, "rmsprop", config.learning_rate)
     crit_opt = nn.OptState.for_net(model.critic, "rmsprop", config.learning_rate)
@@ -231,20 +231,20 @@ def train_gan(data, transformer, config):
             critic_loss = 0.0
             for _ in range(config.critic_steps):
                 idx = rng.choice(class_rows[c], size=config.batch_size, replace=True)
-                fake, _, _ = _generate_soft(model, cond, rng)
-                critic_loss, grads = _critic_loss_and_grads(model.critic, fake, real_full[idx], cond)
+                fake, _, _ = _generate(model, cond, rng)
+                critic_loss, grads = _critic_loss_and_grads(model.critic, fake, real[idx], cond)
                 _check_finite("critic", critic_loss, step)
                 nn.opt_step(model.critic, grads, crit_opt)
                 np.clip(model.critic.params, -config.weight_clip, config.weight_clip,
                         out=model.critic.params)
             # generator step: minimize -mean(critic(fake))
-            fake, gen_tape, cache = _generate_soft(model, cond, rng)
+            fake, gen_tape, cache = _generate(model, cond, rng)
             m = config.batch_size
             score, tape = nn.forward(model.critic, np.concatenate([fake, cond], axis=1))
             gen_loss = float(-score.mean())
             _check_finite("generator", gen_loss, step)
             _, grad_in = nn.backward(model.critic, tape, np.full((m, 1), -1.0 / m), params=False)
-            grad_fake = grad_in[:, : model.record_dim]  # condition slots carry no gradient
+            grad_fake = grad_in[:, : transformer.total_dim]  # condition slots carry no gradient
             grad_raw = _output_backward(grad_fake, cache, config.gumbel_temperature)
             gen_grads, _ = nn.backward(model.generator, gen_tape, grad_raw, inputs=False)
             nn.opt_step(model.generator, gen_grads, gen_opt)
@@ -254,21 +254,20 @@ def train_gan(data, transformer, config):
 
 
 def _generate_hard(model, condition_ids, rng):
-    cond = nn.one_hot(condition_ids, N_CLASSES, DTYPE)
-    noise = rng.standard_normal((cond.shape[0], model.config.noise_dim), dtype=DTYPE)
-    raw, _ = nn.forward(model.generator, np.concatenate([noise, cond], axis=1))
-    vec, _ = _output_transform(raw, model, rng=rng, hard=True)
-    return vec
+    """Sampled record vectors, one per condition id."""
+    return _generate(model, nn.one_hot(condition_ids, N_CLASSES, DTYPE), rng)[0]
 
 
-def _decode_rows(model, vectors):
-    cols = vectors[:, : model.transformer.total_dim]
-    return model.transformer.decode_matrix(cols.astype(np.float64))
+_SAMPLE_ROWS = 2000  # rows per generator forward when sampling
 
 
-def _generated_label_ids(model, vectors):
-    label_group = vectors[:, model.transformer.total_dim :]
-    return np.argmax(label_group, axis=1)
+def _sample(model, condition_ids, rng):
+    """One Records per _SAMPLE_ROWS condition ids, each row one hard sample
+    under its id, decoded in float64 (the codec's dtype) before the next
+    chunk is generated."""
+    for start in range(0, len(condition_ids), _SAMPLE_ROWS):
+        vectors = _generate_hard(model, condition_ids[start : start + _SAMPLE_ROWS], rng)
+        yield model.transformer.decode_matrix(vectors.astype(np.float64))
 
 
 def sample_unconditional(model, n, seed=0):
@@ -277,39 +276,14 @@ def sample_unconditional(model, n, seed=0):
     Returns a list of (RawRecord, class id); the class is the condition.
     """
     rng = np.random.default_rng(seed)
-    if n == 0:
-        return []
     conditions = rng.choice(N_CLASSES, size=n, p=model.class_distribution)
-    out = []
-    for start in range(0, n, 2000):
-        chunk = conditions[start : start + 2000]
-        vectors = _generate_hard(model, chunk, rng)
-        out.extend(zip(_decode_rows(model, vectors), chunk.tolist()))
-    return out
+    rows = itertools.chain.from_iterable(_sample(model, conditions, rng))
+    return list(zip(rows, conditions.tolist()))
 
 
-def sample_conditional(model, target_class, n, seed=0, attempt_factor=50):
-    """n rows (as Records) for one class via rejection on the generated label group."""
-    rng = np.random.default_rng(seed)
-    kept = np.zeros((0, model.record_dim), DTYPE)
-    attempts = 0
-    cap = attempt_factor * max(n, 1)
-    while len(kept) < n:
-        want = n - len(kept)
-        batch = min(max(2 * want, 200), cap - attempts)
-        if batch <= 0:
-            break
-        ids = np.full(batch, target_class)
-        vectors = _generate_hard(model, ids, rng)
-        attempts += batch
-        accept = _generated_label_ids(model, vectors) == target_class
-        kept = np.concatenate([kept, vectors[accept][:want]])
-        if len(kept) < n and attempts >= cap:
-            raise SamplingStarvationError(
-                f"conditional sampling starved for class {CLASS_NAMES[target_class]}: "
-                f"{len(kept)}/{n} rows after {attempts} attempts"
-            )
-    return _decode_rows(model, kept)
+def sample_conditional(model, target_class, n, seed=0):
+    """n rows (as Records) generated under the condition target_class, their label."""
+    return Records.concat(_sample(model, np.full(n, target_class), np.random.default_rng(seed)))
 
 
 _EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -328,6 +329,17 @@ def reference_export_text(rows):
         fields.append(ds.CLASS_SYMBOLS[label])
         lines.append(",".join(fields) + "\n")
     return "".join(lines)
+
+
+def save_old_layout_gan(model, path):
+    """Save `model` as a gan_model.npz of the layout from before the class
+    condition became the label: float64 nets whose generator also emits 5 label
+    slots and whose critic also reads them."""
+    width, hidden = model.transformer.total_dim, list(model.config.hidden)
+    generator = nn.init_net([model.generator.in_dim, *hidden, width + ds.N_CLASSES],
+                            model.generator.activations, seed=0)
+    critic = nn.init_net([width + 2 * ds.N_CLASSES, *hidden, 1], model.critic.activations, seed=1)
+    dataclasses.replace(model, generator=generator, critic=critic).save(path)
 
 
 def write_surrogate_files(dirpath, n_train=2000, n_test=600, seed=0):

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from idslab import cli, dataset as ds
+from idslab import cli, dataset as ds, gan
+
+from conftest import save_old_layout_gan
 
 TINY = [
     "--set", "rows=60",
@@ -178,6 +180,20 @@ class TestStages:
         train.save(out / "train.npz")
         assert run(["gan-train"] + TINY) == cli.EXIT_RUNTIME
         assert not (out / "gan_model.npz").exists()
+
+    def test_old_layout_checkpoint_exits_runtime(self, workdir, capsys):
+        assert run(["preprocess"]) == cli.EXIT_OK
+        assert run(["gan-train"] + TINY) == cli.EXIT_OK
+        out = workdir / "runs" / "default"
+        save_old_layout_gan(gan.GanModel.load(out / "gan_model.npz"), out / "gan_model.npz")
+        capsys.readouterr()
+        assert run(["gan-sample"] + TINY) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert "gan_model.npz: generator output / critic input widths are " in err[0]
+        assert err[0].endswith("re-run gan-train")
+        assert not (out / "synthetic_wgan.csv").exists()
 
     def test_debug_prints_traceback_of_runtime_failure(self, workdir, monkeypatch, capsys):
         assert run(["preprocess"]) == cli.EXIT_OK

@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from idslab import dataset as ds, gan, nn, synth_eval
 from idslab.dataset import CATEGORICAL, CONTINUOUS, FeatureSpec
 
-from conftest import make_surrogate_records, reference_export_text
+from conftest import make_surrogate_records, reference_export_text, save_old_layout_gan
 
 
 def surrogate_model(n=300, seed=0, epochs=1, **overrides):
@@ -21,21 +19,27 @@ def surrogate_model(n=300, seed=0, epochs=1, **overrides):
     return model, history, data
 
 
-def toy_table(n=2000, seed=0, probs=(0.5, 0.3, 0.2)):
-    """One 3-category categorical + one uniform continuous column."""
+TOY_MODE = np.array([0, 1, 2, 0, 1])  # the category class c puts 85 % of its mass on
+
+
+def toy_table(n=2000, seed=0):
+    """One 3-category categorical + one continuous column, both drawn from the
+    label: class c picks category TOY_MODE[c] with probability 0.85 (0.075 for
+    each other one), and its continuous value is N(0.1 + 0.2c, 0.05^2) clipped
+    to [0, 1].  Labels are uniform, so every class is present."""
     specs = (
         FeatureSpec(name="color", kind=CATEGORICAL, categories=("a", "b", "c")),
         FeatureSpec(name="amount", kind=CONTINUOUS),
     )
     t = ds.Transformer(specs=specs, mins=np.array([0.0]), maxs=np.array([1.0]))
     rng = np.random.default_rng(seed)
-    cats = rng.choice(3, size=n, p=probs)
-    cont = rng.random(n)
+    labels = rng.integers(0, 5, size=n)
+    other = (TOY_MODE[labels] + rng.integers(1, 3, size=n)) % 3
+    cats = np.where(rng.random(n) < 0.85, TOY_MODE[labels], other)
+    cont = np.clip(rng.normal(0.1 + 0.2 * labels, 0.05), 0.0, 1.0)
     matrix = np.zeros((n, 4))
     matrix[np.arange(n), cats] = 1.0
     matrix[:, 3] = cont
-    # labels are independent of the features; every class must be present
-    labels = rng.integers(0, 5, size=n)
     return ds.EncodedDataset(matrix=matrix, labels=labels), t, cats, cont
 
 
@@ -72,26 +76,18 @@ class TestCheckpoint:
         rows_back = gan.sample_unconditional(back, 40, seed=3)
         assert [(r.values, l) for r, l in rows] == [(r.values, l) for r, l in rows_back]
 
-    def test_float64_checkpoint_loads_as_float32(self, tmp_path):
-        # gan_model.npz files written before the GAN moved to float32 hold float64 nets
+    def test_old_layout_checkpoint_rejected(self, tmp_path):
+        # gan_model.npz files written while the generator emitted its own label slots
         model, _, _ = surrogate_model(epochs=1)
-        model.save(tmp_path / "new.npz")
-        old = dataclasses.replace(
-            model, generator=nn.pack(model.generator, model.generator.params.astype(np.float64)),
-            critic=nn.pack(model.critic, model.critic.params.astype(np.float64)))
-        old.save(tmp_path / "old.npz")
-        for name, dtype in (("new.npz", np.float32), ("old.npz", np.float64)):
-            with np.load(tmp_path / name) as z:
-                assert z["generator_w0"].dtype == z["critic_b0"].dtype == dtype
-        back = gan.GanModel.load(tmp_path / "old.npz")
-        # model is old cast to float32: float32 -> float64 -> float32 is exact
-        for net, net_back in ((model.generator, back.generator), (model.critic, back.critic)):
-            assert net_back.params.dtype == np.float32
-            assert net_back.params.tobytes() == net.params.tobytes()
-            assert all(np.shares_memory(w, net_back.params) for w in net_back.weights)
-        rows = gan.sample_unconditional(model, 40, seed=3)
-        rows_back = gan.sample_unconditional(back, 40, seed=3)
-        assert [(r.values, l) for r, l in rows] == [(r.values, l) for r, l in rows_back]
+        path = tmp_path / "gan_model.npz"
+        save_old_layout_gan(model, path)
+        w = model.transformer.total_dim
+        with pytest.raises(ValueError) as err:
+            gan.GanModel.load(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}: ")
+        assert f"are {w + 5} / {w + 10}, expected {w} / {w + 5}" in message
+        assert message.endswith("re-run gan-train")
 
 
 class TestTrain:
@@ -99,7 +95,8 @@ class TestTrain:
         model, history, _ = surrogate_model(epochs=0)
         assert history == []
         assert isinstance(model, gan.GanModel)
-        assert model.generator.weights[-1].shape[1] == model.record_dim
+        assert model.generator.out_dim == model.transformer.total_dim
+        assert model.critic.in_dim == model.transformer.total_dim + ds.N_CLASSES
 
     def test_deterministic(self):
         runs = []
@@ -155,8 +152,8 @@ class TestTrain:
         rng = np.random.default_rng(0)
         m = 40
         cond = nn.one_hot(np.full(m, 2), ds.N_CLASSES, dtype)
-        fake = gan._generate_soft(model, cond.astype(gan.DTYPE), rng)[0].astype(dtype)
-        real = np.concatenate([data.matrix[:m], cond], axis=1).astype(dtype)
+        fake = gan._generate(model, cond.astype(gan.DTYPE), rng)[0].astype(dtype)
+        real = data.matrix[:m].astype(dtype)
         loss, grads = gan._critic_loss_and_grads(critic, fake, real, cond)
 
         score_f, tape_f = nn.forward(critic, np.concatenate([fake, cond], axis=1))
@@ -189,9 +186,12 @@ class TestTrain:
 
     @pytest.mark.slow
     def test_toy_table_marginals(self):
-        # 2-column toy table: category frequencies within +-0.05, KS D on the
-        # continuous column < 0.15, and the Wasserstein gap shrinking over
-        # training.  Oracles: direct frequency counts and the ECDF sup norm.
+        # 2-column toy table whose features follow the label: category
+        # frequencies within +-0.05, KS D on the continuous column < 0.15, the
+        # Wasserstein gap shrinking over training, and per condition the
+        # category frequencies within +-0.08 and the continuous mean within
+        # +-0.05 of the real rows of that class.  Oracles: direct frequency
+        # counts, means and the ECDF sup norm.
         data, t, cats, cont = toy_table(n=2000, seed=1)
         cfg = gan.GanConfig(
             epochs=300, batch_size=100, critic_steps=5, noise_dim=16, seed=0
@@ -208,6 +208,13 @@ class TestTrain:
         synth_freq = np.bincount(synth_cat, minlength=3) / len(synth_cat)
         assert np.max(np.abs(real_freq - synth_freq)) <= 0.05
         assert synth_eval.ks_statistic(cont, synth_cont) < 0.15
+
+        for c in range(5):
+            real_c, synth_c = data.labels == c, ids == c
+            real_freq_c = np.bincount(cats[real_c], minlength=3) / real_c.sum()
+            synth_freq_c = np.bincount(synth_cat[synth_c], minlength=3) / synth_c.sum()
+            assert np.max(np.abs(real_freq_c - synth_freq_c)) <= 0.08, c
+            assert abs(cont[real_c].mean() - synth_cont[synth_c].mean()) <= 0.05, c
 
         gaps = [abs(row[1]) for row in history]
         k = 20
@@ -250,17 +257,17 @@ class TestSampleConditional:
             total += len(rows)
         assert total == 100
 
-    def test_starvation_names_class(self):
+    def test_exactly_n_rows_in_chunks(self, monkeypatch):
         model, _, _ = surrogate_model()
-        # rig the generator so the label group always argmaxes to class 0
-        w_last = model.generator.weights[-1]
-        b_last = model.generator.biases[-1]
-        label_slots = slice(model.transformer.total_dim, model.record_dim)
-        w_last[:, label_slots] = 0.0
-        b_last[label_slots] = 0.0
-        b_last[model.transformer.total_dim] = 50.0
-        with pytest.raises(gan.SamplingStarvationError, match="U2R"):
-            gan.sample_conditional(model, 4, 10, seed=0, attempt_factor=5)
+        sizes = []
+        generate = gan._generate_hard
+        monkeypatch.setattr(gan, "_generate_hard",
+                            lambda m, ids, rng: sizes.append(len(ids)) or generate(m, ids, rng))
+        assert len(gan.sample_conditional(model, 2, 4500, seed=0)) == 4500
+        assert sizes == [2000, 2000, 500]
+        sizes.clear()
+        assert len(gan.sample_unconditional(model, 2001, seed=0)) == 2001
+        assert sizes == [2000, 1]
 
     def test_deterministic(self):
         model, _, _ = surrogate_model()

@@ -536,10 +536,9 @@ class TestDtype:
             model, _ = gan.train_gan(data, t, cfg)
             assert model.generator.params.dtype == model.critic.params.dtype == f32
             rng = np.random.default_rng(0)
-            fake, gen_tape, cache = gan._generate_soft(model, nn.one_hot([1] * 20, 5, f32), rng)
-            hard, _ = gan._output_transform(gen_tape[-1][1], model, rng=rng, hard=True)
+            fake, gen_tape, cache = gan._generate(model, nn.one_hot([1] * 20, 5, f32), rng)
             grad_raw = gan._output_backward(np.ones_like(fake), cache, cfg.gumbel_temperature)
-        arrays = [fake, hard, grad_raw, cache[2], cache[3], *(a for xy in gen_tape for a in xy)]
+        arrays = [fake, grad_raw, cache[2], *cache[3], *(a for xy in gen_tape for a in xy)]
         arrays += softmax_inputs
         assert softmax_inputs and [a.dtype for a in arrays] == [f32] * len(arrays)
 
