@@ -9,7 +9,7 @@ dones in the environment's reward table.
 Updates use the clipped-ratio surrogate with generalized advantage
 estimation and log per-update diagnostics, approximate KL and explained
 variance included; a non-finite loss stops training.  Each minibatch step
-is one fused backward pass into one gradient vector, one norm clip and one
+is one nn.backward per net into one gradient vector, one norm clip and one
 Adam step on one parameter vector.  Evaluation replays the test set once,
 argmax action per record, no episode mechanics.
 """
@@ -86,7 +86,7 @@ class PpoConfig:
 
 class PolicyNet:
     """Shared trunk, softmax policy head, linear value head: views of one `params`
-    vector, in nets() order; `grads` holds their (dW, db) views of `grad`."""
+    vector, in nets() order; `grads` holds their gradient nets over `grad`."""
 
     def __init__(self, obs_dim, action_count, trunk_activation="relu", seed=0):
         if trunk_activation not in TRUNK_ACTIVATIONS:
@@ -103,8 +103,7 @@ class PolicyNet:
         self.grad = np.zeros_like(self.params)
         self.trunk, self.policy_head, self.value_head = map(
             nn.pack, nets, np.split(self.params, bounds))
-        self.grads = [[*zip(g.weights, g.biases)]
-                      for g in map(nn.pack, nets, np.split(self.grad, bounds))]
+        self.grads = list(map(nn.pack, nets, np.split(self.grad, bounds)))
 
     @property
     def obs_dim(self):
@@ -190,12 +189,12 @@ def compute_gae(buffer, gamma, lam):
 
 def _minibatch_grad(policy, states, actions, old_logp, adv, returns, config):
     """One PPO minibatch: returns the first six UPDATE_STATS and leaves the gradient
-    in policy.grad, by nn.backward's arithmetic fused over the three nets.
+    in policy.grad, backpropagated through both heads and then the trunk.
 
     loss = -min(ratio * A, clip(ratio) * A) + value_coef * (V - R)^2 - entropy_coef * H
     """
     m = actions.size
-    probs, values, (trunk_tape, _, _) = policy.forward(states)
+    probs, values, (trunk_tape, policy_tape, value_tape) = policy.forward(states)
     p_clamped = np.maximum(probs, _LOGP_FLOOR)
     logp_all = np.log(p_clamped)
     logp = logp_all[np.arange(m), actions]
@@ -220,23 +219,10 @@ def _minibatch_grad(policy, states, actions, old_logp, adv, returns, config):
     g_probs[np.arange(m), actions] += coeff / p_clamped[np.arange(m), actions]
     g_values = (2.0 * config.value_coef * value_err / m)[:, None]
 
-    trunk = policy.trunk
-    trunk_grads, (head_grad,), (value_grad,) = policy.grads
-    h = trunk_tape[-1][1]
-    dz = nn.softmax_backward(probs, g_probs)
-    np.matmul(h.T, dz, out=head_grad[0])
-    dz.sum(axis=0, out=head_grad[1])
-    g_h = dz @ policy.policy_head.weights[0].T
-    np.matmul(h.T, g_values, out=value_grad[0])
-    g_values.sum(axis=0, out=value_grad[1])
-    g_h += g_values @ policy.value_head.weights[0].T
-    for i in range(trunk.n_layers - 1, -1, -1):
-        x, out = trunk_tape[i]
-        dz = nn._act_backward(trunk.activations[i], out, g_h)
-        np.matmul(x.T, dz, out=trunk_grads[i][0])
-        dz.sum(axis=0, out=trunk_grads[i][1])
-        if i:
-            g_h = dz @ trunk.weights[i].T
+    trunk_grad, policy_grad, value_grad = policy.grads
+    g_h = nn.backward(policy.policy_head, policy_tape, g_probs, policy_grad)
+    g_h += nn.backward(policy.value_head, value_tape, g_values, value_grad)
+    nn.backward(policy.trunk, trunk_tape, g_h, trunk_grad, inputs=False)
     return (loss, policy_loss, value_loss, entropy_mean,
             float(np.add.reduce(~use_unclipped, dtype=np.float64) / m),
             float(np.add.reduce(old_logp - logp) / m))
@@ -246,7 +232,8 @@ def ppo_loss_and_grads(policy, batch, config):
     """Mean PPO loss over a minibatch, per-net (dW, db) gradients (copies) and stats."""
     row = _minibatch_grad(policy, batch["states"], batch["actions"], batch["log_probs"],
                           batch["advantages"], batch["returns"], config)
-    grads = [[(dw.copy(), db.copy()) for dw, db in layers] for layers in policy.grads]
+    grads = [[(dw.copy(), db.copy()) for dw, db in zip(g.weights, g.biases)]
+             for g in policy.grads]
     return row[0], grads, dict(zip(UPDATE_STATS, row))
 
 

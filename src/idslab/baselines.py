@@ -218,6 +218,7 @@ def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0)
     sizes = [d, *hidden, k]
     acts = ["relu"] * len(hidden) + ["softmax"]
     net = nn.init_net(sizes, acts, seed=seed)
+    grad = nn.pack(net, np.empty_like(net.params))
     opt = nn.OptState.for_net(net, "adam", lr)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -229,8 +230,8 @@ def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0)
             # into (p - onehot)/m on the logits
             target = nn.one_hot(y[idx], k)
             dprobs = -target / np.maximum(probs, 1e-12) / idx.size
-            grads, _ = nn.backward(net, tape, dprobs, inputs=False)
-            nn.opt_step(net, grads, opt)
+            nn.backward(net, tape, dprobs, grad, inputs=False)
+            nn.update_params(net.params, grad.params, opt)
     return Classifier(
         kind="mlp", n_classes=k, _predict_proba=lambda A: nn.forward(net, A)[0], net=net
     )

@@ -331,7 +331,8 @@ class Transformer:
         self.total_dim = offset
 
     def encode_matrix(self, records):
-        """n x total_dim float64 encoding of a Records (or RawRecord rows)."""
+        """n x total_dim float64 encoding of a Records (or RawRecord rows); a NaN, or
+        a value <= -1 in a log1p-scaled feature, is a ValueError naming the feature."""
         columns = as_records(records).columns
         out = np.zeros((len(columns[0]), self.total_dim))
         for (spec, off, width, ci), col in zip(self._layout, columns):
@@ -340,10 +341,12 @@ class Transformer:
                 slot = np.fromiter(map(vocab.get, col.tolist(), repeat(-1)), np.intp, len(col))
                 rows = np.flatnonzero(slot >= 0)  # an unseen category leaves its group 0
                 out[rows, off + slot[rows]] = 1.0
-            elif self.maxs[ci] > self.mins[ci]:  # a constant column stays 0
-                lo, hi = self.mins[ci], self.maxs[ci]
-                x = _math_map(math.log1p, col) if spec.log_scaled else col
-                out[:, off] = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+            else:
+                _check_scalable(spec, col, finite=False)  # inf clips to the fitted range
+                if self.maxs[ci] > self.mins[ci]:  # a constant column stays 0
+                    lo, hi = self.mins[ci], self.maxs[ci]
+                    x = _math_map(math.log1p, col) if spec.log_scaled else col
+                    out[:, off] = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
         return out
 
     def decode_matrix(self, matrix):
@@ -402,8 +405,22 @@ def _math_map(fn, col):
     return np.fromiter(map(fn, col.tolist()), np.float64, len(col))
 
 
+def _check_scalable(spec, col, finite):
+    """A ValueError naming the feature and record of the first value the codec
+    cannot scale: NaN (any non-finite value if `finite`), or one <= -1 under log1p."""
+    bad = ~np.isfinite(col) if finite else np.isnan(col)
+    if spec.log_scaled:
+        bad |= col <= -1.0
+    if bad.any():
+        i = int(bad.argmax())
+        why = "log1p needs values > -1" if col[i] <= -1.0 else "not a finite number"
+        raise ValueError(f"feature {spec.name}: cannot scale {float(col[i])!r} "
+                         f"in record {i + 1} ({why})")
+
+
 def fit_transformer(records):
-    """Fit category vocabularies and continuous ranges from training records."""
+    """Fit category vocabularies and continuous ranges from training records;
+    a value the codec cannot scale is a ValueError (see _check_scalable)."""
     records = as_records(records)
     if not len(records):
         raise ValueError("cannot fit transformer on empty record list")
@@ -412,6 +429,7 @@ def fit_transformer(records):
         if spec.kind == CATEGORICAL:
             specs.append(replace(spec, categories=tuple(sorted(set(col.tolist())))))
         else:
+            _check_scalable(spec, col, finite=True)
             vals = np.log1p(col) if spec.log_scaled else col
             mins.append(float(vals.min()))
             maxs.append(float(vals.max()))

@@ -178,16 +178,16 @@ def _generate(model, conditions, rng):
     return fake, tape, cache
 
 
-def _critic_loss_and_grads(critic, fake, real, cond):
-    """WGAN critic loss mean(critic(fake)) - mean(critic(real)) and its
-    parameter gradients, from one pass over the stacked [fake; real] rows."""
+def _critic_loss_and_grads(critic, fake, real, cond, grad):
+    """WGAN critic loss mean(critic(fake)) - mean(critic(real)) from one pass over
+    the stacked [fake; real] rows; its parameter gradients go into `grad`."""
     m = len(fake)
     batch = np.concatenate([np.concatenate([fake, real]), np.concatenate([cond, cond])], axis=1)
     scores, tape = nn.forward(critic, batch)
     loss = float(scores[:m].mean() - scores[m:].mean())
     upstream = np.concatenate([np.full((m, 1), 1.0 / m), np.full((m, 1), -1.0 / m)])
-    grads, _ = nn.backward(critic, tape, upstream, inputs=False)
-    return loss, grads
+    nn.backward(critic, tape, upstream, grad, inputs=False)
+    return loss
 
 
 def _check_finite(net, loss, step):
@@ -217,8 +217,10 @@ def train_gan(data, transformer, config):
     model = _build_model(transformer, class_distribution, config)
     real = data.matrix.astype(DTYPE)
 
-    gen_opt = nn.OptState.for_net(model.generator, "rmsprop", config.learning_rate)
-    crit_opt = nn.OptState.for_net(model.critic, "rmsprop", config.learning_rate)
+    gen, crit = model.generator, model.critic
+    gen_grad, crit_grad = (nn.pack(net, np.empty_like(net.params)) for net in (gen, crit))
+    gen_opt = nn.OptState.for_net(gen, "rmsprop", config.learning_rate)
+    crit_opt = nn.OptState.for_net(crit, "rmsprop", config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history = []
     steps_per_epoch = max(1, len(data) // config.batch_size)
@@ -232,22 +234,21 @@ def train_gan(data, transformer, config):
             for _ in range(config.critic_steps):
                 idx = rng.choice(class_rows[c], size=config.batch_size, replace=True)
                 fake, _, _ = _generate(model, cond, rng)
-                critic_loss, grads = _critic_loss_and_grads(model.critic, fake, real[idx], cond)
+                critic_loss = _critic_loss_and_grads(crit, fake, real[idx], cond, crit_grad)
                 _check_finite("critic", critic_loss, step)
-                nn.opt_step(model.critic, grads, crit_opt)
-                np.clip(model.critic.params, -config.weight_clip, config.weight_clip,
-                        out=model.critic.params)
+                nn.update_params(crit.params, crit_grad.params, crit_opt)
+                np.clip(crit.params, -config.weight_clip, config.weight_clip, out=crit.params)
             # generator step: minimize -mean(critic(fake))
             fake, gen_tape, cache = _generate(model, cond, rng)
             m = config.batch_size
-            score, tape = nn.forward(model.critic, np.concatenate([fake, cond], axis=1))
+            score, tape = nn.forward(crit, np.concatenate([fake, cond], axis=1))
             gen_loss = float(-score.mean())
             _check_finite("generator", gen_loss, step)
-            _, grad_in = nn.backward(model.critic, tape, np.full((m, 1), -1.0 / m), params=False)
+            grad_in = nn.backward(crit, tape, np.full((m, 1), -1.0 / m))
             grad_fake = grad_in[:, : transformer.total_dim]  # condition slots carry no gradient
             grad_raw = _output_backward(grad_fake, cache, config.gumbel_temperature)
-            gen_grads, _ = nn.backward(model.generator, gen_tape, grad_raw, inputs=False)
-            nn.opt_step(model.generator, gen_grads, gen_opt)
+            nn.backward(gen, gen_tape, grad_raw, gen_grad, inputs=False)
+            nn.update_params(gen.params, gen_grad.params, gen_opt)
             history.append((step, critic_loss, gen_loss))
             step += 1
     return model, history

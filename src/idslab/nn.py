@@ -3,8 +3,9 @@
 Shared numeric kernel for the GAN, the PPO agent, and the MLP/logistic
 baselines.  Each kernel computes in the dtype of the net it is given: the
 GAN's nets are float32, the rest float64.  All is deterministic per seed; a
-net's weights and biases are views into one parameter vector, and one
-checkpoint format stores any named set of nets bit-exactly.
+net's weights and biases are views into one parameter vector, and so are its
+gradient's (a gradient net that `backward` writes into).  One checkpoint
+format stores any named set of nets bit-exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "init_net",
     "forward",
     "backward",
-    "opt_step",
     "update_params",
     "clip_global_norm",
     "softmax",
@@ -166,27 +166,26 @@ def forward(net, batch):
     return x, tape
 
 
-def backward(net, tape, output_gradient, *, params=True, inputs=True):
-    """Backprop an upstream gradient; returns (param_grads, input_grad).
+def backward(net, tape, upstream, grad=None, *, inputs=True):
+    """Backprop an upstream gradient; returns the input gradient.
 
-    param_grads is a list of (dW, db) per layer.  The input gradient is
-    needed when chaining nets (generator through critic, trunk through heads).
-    params=False skips the parameter gradients, inputs=False the input
-    gradient (layer 0's dz @ W.T), each returned as None.  The activation
-    gradients work in place on copies; output_gradient and the tape stay as
-    they are.
+    Each layer's dW and db overwrite its views in `grad`, a gradient net (pack
+    of net over a vector laid out like net.params); grad=None skips them.  The
+    input gradient chains nets (generator through critic, trunk through heads);
+    inputs=False skips it (layer 0's dz @ W.T) and returns None.  The activation
+    gradients work in place on a copy; upstream and the tape stay as they are.
     """
-    grad = np.array(output_gradient, dtype=net.params.dtype)  # a copy: overwritten below
-    param_grads = [None] * net.n_layers
+    g = np.array(upstream, dtype=net.params.dtype)  # a copy: overwritten below
     for i in range(net.n_layers - 1, -1, -1):
         x, out = tape[i]
-        if grad.shape != out.shape:
-            raise ValueError(f"gradient shape {grad.shape} != layer output {out.shape}")
-        dz = _act_backward(net.activations[i], out, grad)
-        if params:
-            param_grads[i] = (x.T @ dz, dz.sum(axis=0))
-        grad = dz @ net.weights[i].T if i or inputs else None
-    return (param_grads if params else None), grad
+        if g.shape != out.shape:
+            raise ValueError(f"gradient shape {g.shape} != layer output {out.shape}")
+        dz = _act_backward(net.activations[i], out, g)
+        if grad is not None:
+            np.matmul(x.T, dz, out=grad.weights[i])
+            dz.sum(axis=0, out=grad.biases[i])
+        g = dz @ net.weights[i].T if i or inputs else None
+    return g
 
 
 @dataclass
@@ -206,12 +205,6 @@ class OptState:
         if algo not in ("adam", "rmsprop"):
             raise ValueError(f"unknown optimizer: {algo!r}")
         return cls(algo=algo, lr=lr, m=np.zeros_like(net.params), v=np.zeros_like(net.params))
-
-
-def opt_step(net, param_grads, state):
-    """Apply one in-place update to net.params from backward()'s (dW, db) list."""
-    grad = np.concatenate([g.ravel() for pair in param_grads for g in pair])
-    update_params(net.params, grad, state)
 
 
 def update_params(params, grad, state):
@@ -237,19 +230,17 @@ def update_params(params, grad, state):
     params -= np.divide(num, den, out=num)
 
 
-def clip_global_norm(grad_lists, max_norm):
-    """Scale a collection of per-net gradient lists to a global norm cap."""
+def clip_global_norm(grads, max_norm):
+    """Scale gradient nets in place to a global norm cap; returns the norm before."""
     total = 0.0
-    for grads in grad_lists:
-        for dw, db in grads:
+    for g in grads:
+        for dw, db in zip(g.weights, g.biases):
             total += float((dw * dw).sum()) + float((db * db).sum())
     norm = np.sqrt(total)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for grads in grad_lists:
-            for dw, db in grads:
-                dw *= scale
-                db *= scale
+        for g in grads:
+            g.params *= scale
     return norm
 
 

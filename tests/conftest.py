@@ -84,7 +84,7 @@ def make_surrogate_records(n, seed=0, class_weights=(0.53, 0.30, 0.10, 0.06, 0.0
 
 def reference_logreg(X, y, k, l2=1e-4, epochs=300, lr=1e-2, seed=0):
     """The one-fit softmax-regression loop `train_logreg` ran before the
-    fold kernel: (n, k) logits, full-batch Adam through `nn.opt_step`."""
+    fold kernel: (n, k) logits, full-batch Adam through `nn.update_params`."""
     n, d = X.shape
     net = nn.init_net([d, k], ["linear"], seed=seed)
     opt = nn.OptState.for_net(net, "adam", lr)
@@ -94,7 +94,7 @@ def reference_logreg(X, y, k, l2=1e-4, epochs=300, lr=1e-2, seed=0):
         probs = nn.softmax(logits)
         dlogits = (probs - Y) / n
         grads = [(X.T @ dlogits + l2 * net.weights[0], dlogits.sum(axis=0))]
-        nn.opt_step(net, grads, opt)
+        nn.update_params(net.params, flatten(grads), opt)
     return net
 
 
@@ -149,8 +149,8 @@ def reference_forward(net, batch):
     return x, tape
 
 
-def reference_backward(net, tape, output_gradient, *, params=True, inputs=True):
-    """`nn.backward` computing every gradient; the two keywords are ignored."""
+def reference_backward(net, tape, output_gradient):
+    """`nn.backward` returning fresh arrays: each layer's (dW, db) and the input gradient."""
     grad = np.asarray(output_gradient, dtype=net.params.dtype)
     param_grads = [None] * net.n_layers
     for i in range(net.n_layers - 1, -1, -1):
@@ -161,6 +161,35 @@ def reference_backward(net, tape, output_gradient, *, params=True, inputs=True):
         param_grads[i] = (x.T @ dz, dz.sum(axis=0))
         grad = dz @ net.weights[i].T
     return param_grads, grad
+
+
+def flatten(pairs):
+    """One vector of (dW, db) pairs in params order, as a gradient net lays them out."""
+    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+
+
+def backward_pairs(net, tape, upstream, *, inputs=True):
+    """`nn.backward` into a fresh gradient net; returns its (dW, db) views per
+    layer and the input gradient."""
+    grad = nn.pack(net, np.empty_like(net.params))
+    grad_in = nn.backward(net, tape, upstream, grad, inputs=inputs)
+    return list(zip(grad.weights, grad.biases)), grad_in
+
+
+def reference_clip_global_norm(grad_lists, max_norm):
+    """`nn.clip_global_norm` on per-net lists of (dW, db) pairs, scaling each array."""
+    total = 0.0
+    for grads in grad_lists:
+        for dw, db in grads:
+            total += float((dw * dw).sum()) + float((db * db).sum())
+    norm = np.sqrt(total)
+    if norm > max_norm and norm > 0.0:
+        scale = max_norm / norm
+        for grads in grad_lists:
+            for dw, db in grads:
+                dw *= scale
+                db *= scale
+    return norm
 
 
 def reference_update_params(params, grad, state):
@@ -216,9 +245,9 @@ def reference_ppo_loss_and_grads(policy, batch, config):
 
     g_values = (2.0 * config.value_coef * value_err / m)[:, None]
 
-    policy_grads, g_h_policy = nn.backward(policy.policy_head, policy_tape, g_probs)
-    value_grads, g_h_value = nn.backward(policy.value_head, value_tape, g_values)
-    trunk_grads, _ = nn.backward(policy.trunk, trunk_tape, g_h_policy + g_h_value, inputs=False)
+    policy_grads, g_h_policy = backward_pairs(policy.policy_head, policy_tape, g_probs)
+    value_grads, g_h_value = backward_pairs(policy.value_head, value_tape, g_values)
+    trunk_grads, _ = backward_pairs(policy.trunk, trunk_tape, g_h_policy + g_h_value, inputs=False)
 
     stats = {
         "loss": loss,

@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from idslab import agent, dataset as ds, env as ids_env, nn
 
-from conftest import make_surrogate_records, reference_ppo_loss_and_grads
+from conftest import (
+    flatten,
+    make_surrogate_records,
+    reference_clip_global_norm,
+    reference_ppo_loss_and_grads,
+)
 from test_nn import assert_same, assert_same_grads
 
 
@@ -261,9 +266,9 @@ class TestFusedKernel:
                          "log_probs": buf.log_probs[idx], "advantages": norm_adv[idx],
                          "returns": buf.returns[idx]}
                 _, grads, minibatch_stats = reference_ppo_loss_and_grads(replay, batch, cfg)
-                nn.clip_global_norm(grads, cfg.max_grad_norm)
+                reference_clip_global_norm(grads, cfg.max_grad_norm)
                 for net, g, opt in zip(replay.nets(), grads, opts):
-                    nn.opt_step(net, g, opt)
+                    nn.update_params(net.params, flatten(g), opt)
                 per_minibatch.append(minibatch_stats)
         assert_same(policy.params, replay.params)
         for key in per_minibatch[0]:

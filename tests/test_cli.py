@@ -128,6 +128,22 @@ class TestDependencies:
         )
 
 
+    def test_unscalable_training_value_exits_runtime_before_writing(self, workdir, surrogate_data,
+                                                                     capsys):
+        _, paths = surrogate_data
+        lines = paths["KDDTrain+.txt"].read_text().splitlines()[:50]
+        fields = lines[6].split(",")
+        fields[4] = "nan"  # src_bytes
+        lines[6] = ",".join(fields)
+        bad = workdir / "train.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["preprocess", "--set", f"train_path={bad}"]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "error: feature src_bytes: cannot scale nan in record 7 (not a finite number)\n"
+        )
+        assert not (workdir / "runs" / "default" / "transformer.json").exists()
+
+
 class TestStages:
     def test_preprocess_artifacts(self, workdir):
         assert run(["preprocess"]) == cli.EXIT_OK

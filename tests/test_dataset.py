@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -449,6 +450,45 @@ class TestTransformer:
     def test_log_scaling_applied(self, fitted):
         _, _, t = fitted
         assert next(s for s in t.specs if s.name == "src_bytes").log_scaled
+
+    @staticmethod
+    def _lines(field, value, row=1):
+        """Three copies of GOOD_LINE with raw `field` of line `row` (0-based) set to `value`."""
+        lines = [GOOD_LINE] * 3
+        fields = GOOD_LINE.split(",")
+        fields[field] = value
+        lines[row] = ",".join(fields)
+        return lines
+
+    # raw fields: 4 is src_bytes (log1p-scaled), 24 serror_rate (not log-scaled)
+    @pytest.mark.parametrize("field, value, message", [
+        (4, "nan", "feature src_bytes: cannot scale nan in record 2 (not a finite number)"),
+        (24, "inf", "feature serror_rate: cannot scale inf in record 2 (not a finite number)"),
+        (4, "-5", "feature src_bytes: cannot scale -5.0 in record 2 (log1p needs values > -1)"),
+        (4, "-1", "feature src_bytes: cannot scale -1.0 in record 2 (log1p needs values > -1)"),
+    ])
+    def test_fit_rejects_unscalable_value(self, field, value, message):
+        records = ds.parse_kdd(self._lines(field, value))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ds.fit_transformer(records)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (24, "nan", "feature serror_rate: cannot scale nan in record 3 (not a finite number)"),
+        (4, "-1", "feature src_bytes: cannot scale -1.0 in record 3 (log1p needs values > -1)"),
+        (4, "-inf", "feature src_bytes: cannot scale -inf in record 3 (log1p needs values > -1)"),
+    ])
+    def test_encode_rejects_unscalable_value(self, field, value, message):
+        t = ds.fit_transformer(ds.parse_kdd([GOOD_LINE]))
+        records = ds.parse_kdd(self._lines(field, value, row=2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            t.encode_matrix(records)
+
+    @pytest.mark.parametrize("field, value", [(4, "inf"), (4, "-0.5"), (24, "-inf"), (24, "-3")])
+    def test_encode_clips_values_it_can_scale(self, field, value):
+        # beyond the fitted range, but log1p (or no transform) is defined there
+        t = ds.fit_transformer(ds.parse_kdd([GOOD_LINE, GOOD_LINE.replace(",181,", ",9,")]))
+        vec = t.encode_matrix(ds.parse_kdd(self._lines(field, value)))
+        assert np.all((vec >= 0.0) & (vec <= 1.0))
 
 
 def _value_strategy(spec):

@@ -4,7 +4,12 @@ import pytest
 from idslab import dataset as ds, gan, nn, synth_eval
 from idslab.dataset import CATEGORICAL, CONTINUOUS, FeatureSpec
 
-from conftest import make_surrogate_records, reference_export_text, save_old_layout_gan
+from conftest import (
+    backward_pairs,
+    make_surrogate_records,
+    reference_export_text,
+    save_old_layout_gan,
+)
 
 
 def surrogate_model(n=300, seed=0, epochs=1, **overrides):
@@ -154,12 +159,14 @@ class TestTrain:
         cond = nn.one_hot(np.full(m, 2), ds.N_CLASSES, dtype)
         fake = gan._generate(model, cond.astype(gan.DTYPE), rng)[0].astype(dtype)
         real = data.matrix[:m].astype(dtype)
-        loss, grads = gan._critic_loss_and_grads(critic, fake, real, cond)
+        grad = nn.pack(critic, np.empty_like(critic.params))
+        loss = gan._critic_loss_and_grads(critic, fake, real, cond, grad)
+        grads = list(zip(grad.weights, grad.biases))
 
         score_f, tape_f = nn.forward(critic, np.concatenate([fake, cond], axis=1))
         score_r, tape_r = nn.forward(critic, np.concatenate([real, cond], axis=1))
-        grads_f, _ = nn.backward(critic, tape_f, np.full((m, 1), 1.0 / m))
-        grads_r, _ = nn.backward(critic, tape_r, np.full((m, 1), -1.0 / m))
+        grads_f, _ = backward_pairs(critic, tape_f, np.full((m, 1), 1.0 / m))
+        grads_r, _ = backward_pairs(critic, tape_r, np.full((m, 1), -1.0 / m))
         return m, loss, grads, (score_f, score_r), zip(grads_f, grads_r)
 
     def test_one_pass_critic_gradient_matches_two_passes(self):

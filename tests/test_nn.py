@@ -11,10 +11,13 @@ from idslab import agent, baselines, gan, nn
 from idslab import dataset as ds
 
 from conftest import (
+    backward_pairs,
+    flatten,
     make_surrogate_records,
     reference_act_backward,
     reference_act_forward,
     reference_backward,
+    reference_clip_global_norm,
     reference_forward,
     reference_update_params,
 )
@@ -25,7 +28,7 @@ def finite_diff_check(net, batch, loss_fn, n_samples=100, h=1e-6, seed=0):
     n_samples randomly chosen parameters."""
     out, tape = nn.forward(net, batch)
     loss, grad_out = loss_fn(out)
-    grads, _ = nn.backward(net, tape, grad_out)
+    grads, _ = backward_pairs(net, tape, grad_out)
     rng = np.random.default_rng(seed)
     worst = 0.0
     params = [(net.weights[i], grads[i][0]) for i in range(net.n_layers)]
@@ -126,7 +129,7 @@ class TestBackward:
         net = nn.init_net([4, 3, 2], ["relu", "linear"], seed=0)
         x = np.random.default_rng(0).normal(size=(6, 4))
         _, tape = nn.forward(net, x)
-        grads, gin = nn.backward(net, tape, np.zeros((6, 2)))
+        grads, gin = backward_pairs(net, tape, np.zeros((6, 2)))
         assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
         assert np.all(gin == 0)
 
@@ -138,7 +141,7 @@ class TestBackward:
         x, y = 0.7, 0.2
         out, tape = nn.forward(net, np.array([[x]]))
         resid = out[0, 0] - y
-        grads, _ = nn.backward(net, tape, np.array([[2 * resid]]))
+        grads, _ = backward_pairs(net, tape, np.array([[2 * resid]]))
         assert grads[0][0][0, 0] == pytest.approx(2 * resid * x, abs=1e-12)
         assert grads[0][1][0] == pytest.approx(2 * resid, abs=1e-12)
 
@@ -155,7 +158,7 @@ class TestBackward:
         x = np.random.default_rng(5).normal(size=(1, 3))
         out, tape = nn.forward(net, x)
         loss, gout = sum_loss(out)
-        _, gin = nn.backward(net, tape, gout)
+        gin = nn.backward(net, tape, gout)
         h = 1e-6
         for j in range(3):
             xp = x.copy()
@@ -181,7 +184,7 @@ class TestOptimizers:
         before = [w.copy() for w in net.weights]
         opt = nn.OptState.for_net(net, algo, 1e-3)
         for _ in range(5):
-            nn.opt_step(net, self._zero_grads(net), opt)
+            nn.update_params(net.params, flatten(self._zero_grads(net)), opt)
         assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
 
     def test_adam_first_step_magnitude(self):
@@ -190,7 +193,7 @@ class TestOptimizers:
         opt = nn.OptState.for_net(net, "adam", 1e-3)
         before = net.weights[0].copy()
         grads = [(np.full_like(net.weights[0], 3.7), np.zeros_like(net.biases[0]))]
-        nn.opt_step(net, grads, opt)
+        nn.update_params(net.params, flatten(grads), opt)
         step = np.abs(net.weights[0] - before)
         assert np.allclose(step, 1e-3, rtol=1e-6)
 
@@ -236,7 +239,7 @@ class TestParamVector:
         for t in range(1, 4):
             grads = [(rng.normal(size=w.shape), rng.normal(size=b.shape))
                      for w, b in zip(net.weights, net.biases)]
-            nn.opt_step(net, grads, opt)
+            nn.update_params(net.params, flatten(grads), opt)
             flat = [g for pair in grads for g in pair]
             for param, grad, mi, vi in zip(ref, flat, m, v):
                 if algo == "adam":
@@ -254,19 +257,38 @@ class TestParamVector:
         assert all(np.array_equal(a, b) for a, b in zip(ref, self._arrays(net)))
 
 
+def grad_net(pairs):
+    """A gradient net holding copies of (dW, db) pairs."""
+    return nn.pack(nn.DenseNet(None, [w for w, _ in pairs], [b for _, b in pairs],
+                               ["linear"] * len(pairs)))
+
+
 class TestClipNorm:
     def test_clip_scales_down(self):
-        grads = [[(np.full((2, 2), 10.0), np.zeros(2))]]
+        grads = [grad_net([(np.full((2, 2), 10.0), np.zeros(2))])]
         norm = nn.clip_global_norm(grads, 1.0)
         assert norm == pytest.approx(20.0)
-        total = sum(float((dw**2).sum() + (db**2).sum()) for g in grads for dw, db in g)
+        total = sum(float((dw**2).sum() + (db**2).sum())
+                    for g in grads for dw, db in zip(g.weights, g.biases))
         assert np.sqrt(total) == pytest.approx(1.0)
 
     def test_small_gradients_untouched(self):
         dw = np.full((2, 2), 0.01)
-        grads = [[(dw.copy(), np.zeros(2))]]
+        grads = [grad_net([(dw.copy(), np.zeros(2))])]
         nn.clip_global_norm(grads, 1.0)
-        assert np.array_equal(grads[0][0][0], dw)
+        assert np.array_equal(grads[0].weights[0], dw)
+
+    @pytest.mark.parametrize("max_norm", [1e-3, 0.5, 1e3])
+    def test_matches_per_array_reference(self, max_norm):
+        # the PPO layout: three nets, a per-net norm summed pair by pair
+        rng = np.random.default_rng(5)
+        pair_lists = [[(rng.normal(size=(a, b)), rng.normal(size=b)) for a, b in shapes]
+                      for shapes in ([(7, 5), (5, 4), (4, 3)], [(3, 2)], [(3, 1)])]
+        grads = [grad_net(pairs) for pairs in pair_lists]
+        norm = nn.clip_global_norm(grads, max_norm)
+        assert norm == reference_clip_global_norm(pair_lists, max_norm)
+        for g, pairs in zip(grads, pair_lists, strict=True):
+            assert_same(g.params, flatten(pairs))
 
 
 class TestCheckpoint:
@@ -357,10 +379,13 @@ def check_matches_reference(k, acts, n, share, seed, specials=SPECIALS):
         for (x, y), (rx, ry) in zip(tape, ref_tape, strict=True):
             assert_same(x, rx)
             assert_same(y, ry)
-        grads, grad_in = k.backward(net, tape, upstream)
         ref_grads, ref_grad_in = reference_backward(net, ref_tape, upstream)
-        assert_same_grads(grads, ref_grads)
-        assert_same(grad_in, ref_grad_in)
+        assert_same(k.backward(net, tape, upstream), ref_grad_in)
+        # into a gradient net holding stale values: each backward overwrites them
+        grad = k.pack(net, np.full_like(net.params, 3.0))
+        for _ in range(2):
+            assert_same(k.backward(net, tape, upstream, grad), ref_grad_in)
+            assert_same(grad.params, flatten(ref_grads))
 
 
 def check_nan_propagates(k):
@@ -374,21 +399,22 @@ def check_nan_propagates(k):
 
 
 def check_partial_backward(k, acts, seed, specials=SPECIALS):
-    """params=False and inputs=False give None for what they skip and the
-    full call's bits for the rest, on a net in specials' dtype."""
+    """grad=None skips the parameter gradients and inputs=False the input
+    gradient (returned as None); each gives the full call's bits for the rest,
+    on a net in specials' dtype."""
     rng = np.random.default_rng(seed)
     net = special_net(acts, rng, seed, specials)
     batch = rng.normal(size=(9, net.in_dim))
     upstream = rng.normal(size=(9, net.out_dim))
     with np.errstate(all="ignore"):
         _, tape = k.forward(net, batch)
-        full_grads, full_in = k.backward(net, tape, upstream)
-        no_params, grad_in = k.backward(net, tape, upstream, params=False)
-        grads, no_inputs = k.backward(net, tape, upstream, inputs=False)
-    assert no_params is None
+        full, grad = (k.pack(net, np.empty_like(net.params)) for _ in range(2))
+        full_in = k.backward(net, tape, upstream, full)
+        grad_in = k.backward(net, tape, upstream)
+        no_inputs = k.backward(net, tape, upstream, grad, inputs=False)
     assert_same(grad_in, full_in)
     assert no_inputs is None
-    assert_same_grads(grads, full_grads)
+    assert_same(grad.params, full.params)
 
 
 def mutant_nn(monkeypatch, old, new):
@@ -488,12 +514,12 @@ class TestAliasing:
         kept_tape = [(x.copy(), out.copy()) for x, out in tape]
         upstream = rng.normal(size=(7, 3))
         kept = upstream.copy()
-        grads, grad_in = nn.backward(net, tape, upstream)
+        grads, grad_in = backward_pairs(net, tape, upstream)
         assert_same(upstream, kept)
         for (x, out), (kx, kout) in zip(tape, kept_tape):
             assert_same(x, kx)
             assert_same(out, kout)
-        again, again_in = nn.backward(net, tape, upstream)
+        again, again_in = backward_pairs(net, tape, upstream)
         assert_same_grads(again, grads)
         assert_same(again_in, grad_in)
 
@@ -511,10 +537,12 @@ class TestAliasing:
     def test_partial_backward_float32(self, acts):
         check_partial_backward(nn, acts, 4, SPECIALS32)
 
-    @pytest.mark.parametrize("flags", [{}, {"params": False}, {"inputs": False}])
+    @pytest.mark.parametrize("flags", [{}, {"grad": True}, {"inputs": False}])
     def test_gradient_shape_checked(self, flags):
         net = nn.init_net([4, 3, 2], ["relu", "linear"], seed=0)
         _, tape = nn.forward(net, np.zeros((5, 4)))
+        if flags.get("grad"):  # into a gradient net
+            flags = {"grad": nn.pack(net, np.empty_like(net.params))}
         with pytest.raises(ValueError, match="gradient shape"):
             nn.backward(net, tape, np.zeros((5, 3)), **flags)
 
@@ -545,11 +573,12 @@ class TestDtype:
         net = nn.init_net([5, 6, 6, 6, 6, 6, 4], list(nn.ACTIVATIONS), seed=0)
         net = nn.pack(net, net.params.astype(f32))
         out, tape = nn.forward(net, rng.normal(size=(8, 5)))  # float64 batch and upstream
-        grads, grad_in = nn.backward(net, tape, rng.normal(size=(8, 4)))
-        arrays = [out, grad_in, *(a for xy in tape for a in xy), *(g for dwb in grads for g in dwb)]
+        grad = nn.pack(net, np.empty_like(net.params))
+        grad_in = nn.backward(net, tape, rng.normal(size=(8, 4)), grad)
+        arrays = [out, grad_in, *(a for xy in tape for a in xy), grad.params]
         for algo in ("adam", "rmsprop"):
             opt = nn.OptState.for_net(net, algo, 1e-3)
-            nn.opt_step(net, grads, opt)
+            nn.update_params(net.params, grad.params, opt)
             arrays += [net.params, opt.m, opt.v]
         assert [a.dtype for a in arrays] == [f32] * len(arrays)
 
@@ -566,6 +595,14 @@ class TestDtype:
         assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
 
 
+def reference_backward_into(net, tape, upstream, grad=None, *, inputs=True):
+    """`reference_backward` behind `nn.backward`'s signature."""
+    pairs, grad_in = reference_backward(net, tape, upstream)
+    if grad is not None:
+        grad.params[:] = flatten(pairs)
+    return grad_in if inputs else None
+
+
 class TestCallersMatchReference:
     """The GAN, PPO and MLP training loops give the same bits with the
     reference forward, backward and optimizer step patched in."""
@@ -574,7 +611,7 @@ class TestCallersMatchReference:
         real = run()
         with monkeypatch.context() as m:
             m.setattr(nn, "forward", reference_forward)
-            m.setattr(nn, "backward", reference_backward)
+            m.setattr(nn, "backward", reference_backward_into)
             m.setattr(nn, "update_params", reference_update_params)
             ref = run()
         return real, ref
