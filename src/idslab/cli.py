@@ -267,8 +267,9 @@ def stage_gan_train(config):
 def stage_gan_sample(config):
     out = _out(config)
     model = gan.GanModel.load(_require(out / "gan_model.npz", "gan-train"))
-    rows = gan.sample_unconditional(model, config["rows"], seed=config["seed"] + 100)
-    gan.export_synthetic(rows, out / "synthetic_wgan.csv")
+    # written before the conditional rows are drawn: one sample set is held at a time
+    gan.export_synthetic(gan.sample_unconditional(model, config["rows"], seed=config["seed"] + 100),
+                         out / "synthetic_wgan.csv")
     conditional = []
     for cls in range(ds.N_CLASSES):
         records = gan.sample_conditional(
@@ -277,7 +278,7 @@ def stage_gan_sample(config):
         conditional.extend((rec, cls) for rec in records)
     gan.export_synthetic(conditional, out / "synthetic_wgan_conditional.csv")
     print(
-        f"gan-sample: {len(rows)} unconditional rows, "
+        f"gan-sample: {config['rows']} unconditional rows, "
         f"{len(conditional)} conditional rows"
     )
 
@@ -480,6 +481,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
+        if args.command in ("gan-eval", "run-all") and config["rows"] < synth_eval.DETECTION_FOLDS:
+            raise ValidationError(f"rows must be >= {synth_eval.DETECTION_FOLDS}, gan-eval's "
+                                  f"detection folds; got {config['rows']}")
         STAGES[args.command](config)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -131,8 +131,8 @@ def _build_model(transformer, class_distribution, config):
     )
 
 
-def _output_transform(raw, model, rng):
-    """Map the generator's linear output to a record vector.
+def _output_transform(raw, model, rng, out=None):
+    """Map the generator's linear output to record vectors in `out` (default new).
 
     Continuous slots go through a sigmoid.  Each categorical group is one
     Gumbel-max draw, the one-hot argmax of its logits plus Gumbel noise
@@ -140,53 +140,53 @@ def _output_transform(raw, model, rng):
     1.0, whose noise is infinite).  So the critic sees one-hot groups, as in
     real and sampled rows, and cannot tell fakes by their softness; the
     gradient flows through the tau-softmax of the same perturbed logits
-    (straight-through Gumbel-softmax, Jang et al. 2017).  Returns
-    (vector, cache) where cache backs _output_backward.
+    (straight-through Gumbel-softmax, Jang et al. 2017), which only
+    _output_backward computes.  Returns (vectors, cache), cache backing it.
     """
-    tau = model.config.gumbel_temperature
-    out = np.empty_like(raw)
+    out = np.empty_like(raw) if out is None else out
     cont = model.transformer.continuous_indices()
     sig = 1.0 / (1.0 + np.exp(-raw[:, cont]))
     out[:, cont] = sig
     groups = [sl for _, sl in model.transformer.group_slices()]
-    soft = []
+    perturbed = np.empty_like(raw)  # continuous slots unused
     for sl in groups:
         logits = raw[:, sl]
         gumbel = -np.log(-np.log(rng.uniform(1e-12, 1.0, size=logits.shape))).astype(raw.dtype)
-        perturbed = logits + gumbel
-        out[:, sl] = nn.one_hot(np.argmax(perturbed, axis=1), perturbed.shape[1], raw.dtype)
-        soft.append(nn.softmax(perturbed / tau))
-    return out, (cont, groups, sig, soft)
+        np.add(logits, gumbel, out=perturbed[:, sl])
+        out[:, sl] = nn.one_hot(np.argmax(perturbed[:, sl], axis=1), logits.shape[1], raw.dtype)
+    return out, (cont, groups, sig, perturbed)
 
 
 def _output_backward(grad_out, cache, tau):
     """Gradient through sigmoid / Gumbel-softmax back to the linear output."""
-    cont, groups, sig, soft = cache
+    cont, groups, sig, perturbed = cache
     grad_raw = np.zeros_like(grad_out)
     grad_raw[:, cont] = grad_out[:, cont] * sig * (1.0 - sig)
-    for sl, probs in zip(groups, soft):
+    for sl in groups:
+        probs = nn.softmax(perturbed[:, sl] / tau)
         grad_raw[:, sl] = nn.softmax_backward(probs, grad_out[:, sl]) / tau
     return grad_raw
 
 
-def _generate(model, conditions, rng):
-    """Record vectors generated under one-hot conditions, with the tape and
-    cache the generator step backs through."""
-    noise = rng.standard_normal((conditions.shape[0], model.config.noise_dim), dtype=DTYPE)
-    raw, tape = nn.forward(model.generator, np.concatenate([noise, conditions], axis=1))
-    fake, cache = _output_transform(raw, model, rng)
+def _generate(model, x, rng, out=None, buffers=None):
+    """Record vectors generated from x = [noise | one-hot conditions], whose
+    noise columns are drawn here, with the tape and cache the generator step
+    backs through; train_gan reuses its `x`, `out` and `buffers`."""
+    nd = model.config.noise_dim
+    x[:, :nd] = rng.standard_normal((len(x), nd), dtype=DTYPE)
+    raw, tape = nn.forward(model.generator, x, buffers)
+    fake, cache = _output_transform(raw, model, rng, out)
     return fake, tape, cache
 
 
-def _critic_loss_and_grads(critic, fake, real, cond, grad):
+def _critic_loss_and_grads(critic, batch, grad, buffers=None, scratch=None):
     """WGAN critic loss mean(critic(fake)) - mean(critic(real)) from one pass over
-    the stacked [fake; real] rows; its parameter gradients go into `grad`."""
-    m = len(fake)
-    batch = np.concatenate([np.concatenate([fake, real]), np.concatenate([cond, cond])], axis=1)
-    scores, tape = nn.forward(critic, batch)
+    batch = [fake; real | cond; cond]; its parameter gradients go into `grad`."""
+    m = len(batch) // 2
+    scores, tape = nn.forward(critic, batch, buffers)
     loss = float(scores[:m].mean() - scores[m:].mean())
     upstream = np.concatenate([np.full((m, 1), 1.0 / m), np.full((m, 1), -1.0 / m)])
-    nn.backward(critic, tape, upstream, grad, inputs=False)
+    nn.backward(critic, tape, upstream, grad, inputs=False, scratch=scratch)
     return loss
 
 
@@ -221,33 +221,41 @@ def train_gan(data, transformer, config):
     gen_grad, crit_grad = (nn.pack(net, np.empty_like(net.params)) for net in (gen, crit))
     gen_opt = nn.OptState.for_net(gen, "rmsprop", config.learning_rate)
     crit_opt = nn.OptState.for_net(crit, "rmsprop", config.learning_rate)
+    # every step has the same shapes, so its arrays are allocated once
+    m, nd, d = config.batch_size, config.noise_dim, transformer.total_dim
+    gen_x = np.empty((m, nd + N_CLASSES), DTYPE)  # [noise | cond]
+    crit_x = np.empty((2 * m, d + N_CLASSES), DTYPE)  # [fake; real | cond; cond]
+    gen_buf, crit_buf = ([np.empty((rows, w.shape[1]), DTYPE) for w in net.weights]
+                         for net, rows in ((gen, m), (crit, 2 * m)))
+    width = max(max(w.shape) for net in (gen, crit) for w in net.weights)
+    scratch = np.empty((3, 2 * m * width), DTYPE)  # nn.backward's: rows x widest layer
     rng = np.random.default_rng(config.seed)
     history = []
-    steps_per_epoch = max(1, len(data) // config.batch_size)
+    steps_per_epoch = max(1, len(data) // m)
     step = 0
     for _ in range(config.epochs):
         for _ in range(steps_per_epoch):
             # training-by-sampling: one condition class per minibatch
             c = int(rng.integers(0, N_CLASSES))
-            cond = nn.one_hot(np.full(config.batch_size, c), N_CLASSES, DTYPE)
+            gen_x[:, nd:] = crit_x[:, d:] = nn.one_hot(c, N_CLASSES, DTYPE)
             critic_loss = 0.0
             for _ in range(config.critic_steps):
-                idx = rng.choice(class_rows[c], size=config.batch_size, replace=True)
-                fake, _, _ = _generate(model, cond, rng)
-                critic_loss = _critic_loss_and_grads(crit, fake, real[idx], cond, crit_grad)
+                idx = rng.choice(class_rows[c], size=m, replace=True)
+                _generate(model, gen_x, rng, crit_x[:m, :d], gen_buf)
+                np.take(real, idx, axis=0, out=crit_x[m:, :d])
+                critic_loss = _critic_loss_and_grads(crit, crit_x, crit_grad, crit_buf, scratch)
                 _check_finite("critic", critic_loss, step)
                 nn.update_params(crit.params, crit_grad.params, crit_opt)
                 np.clip(crit.params, -config.weight_clip, config.weight_clip, out=crit.params)
             # generator step: minimize -mean(critic(fake))
-            fake, gen_tape, cache = _generate(model, cond, rng)
-            m = config.batch_size
-            score, tape = nn.forward(crit, np.concatenate([fake, cond], axis=1))
+            _, gen_tape, cache = _generate(model, gen_x, rng, crit_x[:m, :d], gen_buf)
+            score, tape = nn.forward(crit, crit_x[:m], crit_buf)
             gen_loss = float(-score.mean())
             _check_finite("generator", gen_loss, step)
-            grad_in = nn.backward(crit, tape, np.full((m, 1), -1.0 / m))
-            grad_fake = grad_in[:, : transformer.total_dim]  # condition slots carry no gradient
+            grad_in = nn.backward(crit, tape, np.full((m, 1), -1.0 / m), scratch=scratch)
+            grad_fake = grad_in[:, :d]  # condition slots carry no gradient
             grad_raw = _output_backward(grad_fake, cache, config.gumbel_temperature)
-            nn.backward(gen, gen_tape, grad_raw, gen_grad, inputs=False)
+            nn.backward(gen, gen_tape, grad_raw, gen_grad, inputs=False, scratch=scratch)
             nn.update_params(gen.params, gen_grad.params, gen_opt)
             history.append((step, critic_loss, gen_loss))
             step += 1
@@ -256,7 +264,9 @@ def train_gan(data, transformer, config):
 
 def _generate_hard(model, condition_ids, rng):
     """Sampled record vectors, one per condition id."""
-    return _generate(model, nn.one_hot(condition_ids, N_CLASSES, DTYPE), rng)[0]
+    cond = nn.one_hot(condition_ids, N_CLASSES, DTYPE)
+    x = np.concatenate([np.empty((len(cond), model.config.noise_dim), DTYPE), cond], axis=1)
+    return _generate(model, x, rng)[0]
 
 
 _SAMPLE_ROWS = 2000  # rows per generator forward when sampling

@@ -75,15 +75,17 @@ def _act_forward(name, z):
     raise ValueError(f"unknown activation: {name!r}")
 
 
-def _act_backward(name, out, grad):
+def _act_backward(name, out, grad, tmp=None):
     """Gradient w.r.t. the pre-activation, given the activation output and the
     grad w.r.t. it (for relu and leaky_relu, out > 0 exactly where z > 0);
-    overwrites grad except for softmax."""
-    if name == "relu":
-        return np.multiply(grad, out > 0.0, out=grad)
-    if name == "leaky_relu":  # the slope is exactly 1.0 or LEAKY_SLOPE, in out's dtype
-        slope = np.multiply(out > 0.0, 1.0 - LEAKY_SLOPE, dtype=out.dtype) + LEAKY_SLOPE
-        return np.multiply(grad, slope, out=grad)
+    overwrites grad except for softmax; relu and leaky_relu build masks in tmp
+    (a vector in out's dtype of at least out.size) if given, else in a new array."""
+    if name in ("relu", "leaky_relu"):
+        tmp = np.empty(out.size, out.dtype) if tmp is None else tmp
+        mask = np.greater(out, 0.0, out=tmp[: out.size].reshape(out.shape))
+        if name == "leaky_relu":  # the slope is exactly 1.0 or LEAKY_SLOPE, in out's dtype
+            np.add(np.multiply(mask, 1.0 - LEAKY_SLOPE, out=mask), LEAKY_SLOPE, out=mask)
+        return np.multiply(grad, mask, out=grad)
     if name == "sigmoid":
         return np.multiply(np.multiply(grad, out, out=grad), 1.0 - out, out=grad)
     if name == "tanh":
@@ -148,17 +150,18 @@ def init_net(layer_sizes, activations, seed):
     return pack(DenseNet(None, weights, biases, activations))
 
 
-def forward(net, batch):
+def forward(net, batch, buffers=None):
     """Run the net; returns (outputs, tape), the tape holding each layer's
-    (input, output) for backward()."""
+    (input, output) for backward().  Given `buffers`, per layer an array in net's
+    dtype of at least len(batch) rows, x @ w goes into it: the results are views."""
     x = np.asarray(batch, dtype=net.params.dtype)
     if x.ndim != 2:
         raise ValueError(f"input must be a 2-D batch, got {x.ndim}-D")
     if x.shape[1] != net.in_dim:
         raise ValueError(f"input dim {x.shape[1]} != net input {net.in_dim}")
     tape = []
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = x @ w
+    for i, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+        z = np.matmul(x, w, out=None if buffers is None else buffers[i][: len(x)])
         z += b
         out = _act_forward(act, z)
         tape.append((x, out))
@@ -166,7 +169,7 @@ def forward(net, batch):
     return x, tape
 
 
-def backward(net, tape, upstream, grad=None, *, inputs=True):
+def backward(net, tape, upstream, grad=None, *, inputs=True, scratch=None):
     """Backprop an upstream gradient; returns the input gradient.
 
     Each layer's dW and db overwrite its views in `grad`, a gradient net (pack
@@ -174,17 +177,24 @@ def backward(net, tape, upstream, grad=None, *, inputs=True):
     input gradient chains nets (generator through critic, trunk through heads);
     inputs=False skips it (layer 0's dz @ W.T) and returns None.  The activation
     gradients work in place on a copy; upstream and the tape stay as they are.
+    Given a `scratch`, a (3, k) array in net's dtype with k at least the rows
+    times the widest layer, the copy, the activation masks and each input
+    gradient go into it: the result is a view, valid until its next backward.
     """
-    g = np.array(upstream, dtype=net.params.dtype)  # a copy: overwritten below
+    g = (np.empty(np.shape(upstream), net.params.dtype) if scratch is None
+         else scratch[0][: np.size(upstream)].reshape(np.shape(upstream)))
+    g[...] = upstream  # a copy: overwritten below
     for i in range(net.n_layers - 1, -1, -1):
         x, out = tape[i]
         if g.shape != out.shape:
             raise ValueError(f"gradient shape {g.shape} != layer output {out.shape}")
-        dz = _act_backward(net.activations[i], out, g)
+        dz = _act_backward(net.activations[i], out, g, None if scratch is None else scratch[2])
         if grad is not None:
             np.matmul(x.T, dz, out=grad.weights[i])
             dz.sum(axis=0, out=grad.biases[i])
-        g = dz @ net.weights[i].T if i or inputs else None
+        spare = (None if scratch is None  # the ping-pong vector that does not hold dz
+                 else scratch[(net.n_layers - i) % 2][: x.size].reshape(x.shape))
+        g = np.matmul(dz, net.weights[i].T, out=spare) if i or inputs else None
     return g
 
 

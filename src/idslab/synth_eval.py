@@ -40,6 +40,7 @@ __all__ = [
 CATEGORICAL_COLUMNS = ("protocol_type", "service", "flag", "class")
 
 MIN_EXPECTED = 5.0  # chi-squared validity rule; rarer categories are pooled
+DETECTION_FOLDS = 5  # folds of the detection score; each side needs as many rows
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def _fold_moments(X, train):
                       for rows in train]) for stat in (np.mean, np.std))
 
 
-def detection_score(real_records, synth_records, folds=5, seed=0,
+def detection_score(real_records, synth_records, folds=DETECTION_FOLDS, seed=0,
                     l2=1e-4, epochs=300, lr=1e-2):
     """1 - mean ROC AUC of a k-fold logistic real/synth discriminator.
 

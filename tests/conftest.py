@@ -134,8 +134,9 @@ def reference_act_backward(name, out, grad):
     raise ValueError(f"unknown activation: {name!r}")
 
 
-def reference_forward(net, batch):
-    """`nn.forward` computing each layer as act(x @ w + b) out of place."""
+def reference_forward(net, batch, buffers=None):
+    """`nn.forward` computing each layer as act(x @ w + b) out of place (in new
+    arrays, whatever `buffers` is given)."""
     x = np.asarray(batch, dtype=net.params.dtype)
     if x.ndim != 2:
         raise ValueError(f"input must be a 2-D batch, got {x.ndim}-D")

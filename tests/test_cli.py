@@ -90,6 +90,14 @@ class TestValidation:
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (workdir / "runs").exists()
 
+    def test_too_few_rows_for_detection_folds_fails_before_any_stage(self, workdir, capsys):
+        # rows=3 used to train and sample the whole GAN, then fail in gan-eval
+        for command in ("gan-eval", "run-all"):
+            assert run([command, "--set", "rows=3"]) == cli.EXIT_VALIDATION
+            assert "rows must be >= 5, gan-eval's detection folds" in capsys.readouterr().err
+        assert not (workdir / "runs").exists()
+        assert run(["gan-eval", "--set", "rows=5"]) == cli.EXIT_DEPENDENCY  # past validation
+
     def test_list_accepted_for_tuple_field(self, workdir):
         assert run(["preprocess", "--set", "gan.hidden=[32,32]"]) == cli.EXIT_OK
 

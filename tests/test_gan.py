@@ -157,10 +157,11 @@ class TestTrain:
         rng = np.random.default_rng(0)
         m = 40
         cond = nn.one_hot(np.full(m, 2), ds.N_CLASSES, dtype)
-        fake = gan._generate(model, cond.astype(gan.DTYPE), rng)[0].astype(dtype)
+        fake = gan._generate_hard(model, np.full(m, 2), rng).astype(dtype)
         real = data.matrix[:m].astype(dtype)
         grad = nn.pack(critic, np.empty_like(critic.params))
-        loss = gan._critic_loss_and_grads(critic, fake, real, cond, grad)
+        batch = np.concatenate([np.concatenate([fake, real]), np.concatenate([cond, cond])], axis=1)
+        loss = gan._critic_loss_and_grads(critic, batch, grad)
         grads = list(zip(grad.weights, grad.biases))
 
         score_f, tape_f = nn.forward(critic, np.concatenate([fake, cond], axis=1))

@@ -347,9 +347,10 @@ def assert_same_grads(a, b):
         assert_same(db, rdb)
 
 
-def special_net(acts, rng, seed, specials=SPECIALS):
-    """A net in specials' dtype with `specials` in about half its biases."""
-    sizes = [int(s) for s in rng.integers(1, 9, size=len(acts) + 1)]
+def special_net(acts, rng, seed, specials=SPECIALS, sizes=None):
+    """A net in specials' dtype with `specials` in about half its biases; its
+    layer sizes are drawn from 1 to 8 unless given."""
+    sizes = sizes or [int(s) for s in rng.integers(1, 9, size=len(acts) + 1)]
     net = nn.init_net(sizes, acts, seed=seed)
     net = nn.pack(net, net.params.astype(specials.dtype, copy=False))
     for b in net.biases:
@@ -386,6 +387,45 @@ def check_matches_reference(k, acts, n, share, seed, specials=SPECIALS):
         for _ in range(2):
             assert_same(k.backward(net, tape, upstream, grad), ref_grad_in)
             assert_same(grad.params, flatten(ref_grads))
+
+
+def check_buffered_matches_reference(k, acts, n, share, seed, specials=SPECIALS):
+    """Kernel module `k` gives the reference's bits through reused arrays, in
+    specials' dtype: a net with activations `acts` feeds a head whose last layer
+    has one output (a K=1 input gradient); every layer buffer and the shared
+    backward scratch has room for 3 rows more than the batch, they and the
+    gradient nets start as NaN, and both nets' backwards run twice, one after
+    the other, on the one scratch."""
+    rng = np.random.default_rng(seed)
+    trunk = special_net(acts, rng, seed, specials)
+    head = special_net((acts[0], "linear"), rng, seed + 1, specials,
+                       sizes=[trunk.out_dim, int(rng.integers(1, 9)), 1])
+    nets = (trunk, head)
+    buffers = [[np.full((n + 3, w.shape[1]), np.nan, specials.dtype) for w in net.weights]
+               for net in nets]
+    width = max(max(w.shape) for net in nets for w in net.weights)
+    scratch = np.full((3, (n + 3) * width), np.nan, specials.dtype)
+    grads = [k.pack(net, np.full_like(net.params, np.nan)) for net in nets]
+    with np.errstate(all="ignore"):
+        batch = special_array(rng, (n, trunk.in_dim), share, specials)
+        upstream = special_array(rng, (n, 1), share, specials)
+        ref_h, ref_trunk_tape = reference_forward(trunk, batch)
+        ref_out, ref_head_tape = reference_forward(head, ref_h)
+        ref_head_grads, ref_g_h = reference_backward(head, ref_head_tape, upstream)
+        ref_trunk_grads, ref_g_in = reference_backward(trunk, ref_trunk_tape, ref_g_h)
+        for _ in range(2):
+            h, trunk_tape = k.forward(trunk, batch, buffers[0])
+            out, head_tape = k.forward(head, h, buffers[1])
+            assert_same(out, ref_out)
+            for (x, y), (rx, ry) in zip(trunk_tape + head_tape, ref_trunk_tape + ref_head_tape,
+                                        strict=True):
+                assert_same(x, rx)
+                assert_same(y, ry)
+            assert_same(k.backward(head, head_tape, upstream, grads[1], scratch=scratch), ref_g_h)
+            assert_same(grads[1].params, flatten(ref_head_grads))
+            assert_same(k.backward(trunk, trunk_tape, ref_g_h, grads[0], scratch=scratch),
+                        ref_g_in)
+            assert_same(grads[0].params, flatten(ref_trunk_grads))
 
 
 def check_nan_propagates(k):
@@ -450,6 +490,18 @@ class TestMatchesReference:
     def test_kernels_bit_equal_float32(self, act, other, n, share, seed):
         check_matches_reference(nn, (act, other, act), n, share, seed, SPECIALS32)
 
+    @pytest.mark.parametrize("specials", [SPECIALS, SPECIALS32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        other=st.sampled_from(nn.ACTIVATIONS),
+        n=st.integers(1, 1200),
+        share=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_buffered_kernels_bit_equal(self, specials, act, other, n, share, seed):
+        check_buffered_matches_reference(nn, (act, other, act), n, share, seed, specials)
+
     def test_nan_preactivation_stays_nan(self):
         check_nan_propagates(nn)
 
@@ -477,12 +529,18 @@ class TestMatchesReference:
             # fmax drops the NaN that np.maximum keeps
             ("np.maximum(z, ", "np.fmax(z, ", "nan"),
             # 1 - 0.8 * (out <= 0) is 1 ulp below 0.2 where out <= 0
-            ("np.multiply(out > 0.0, 1.0 - LEAKY_SLOPE, dtype=out.dtype) + LEAKY_SLOPE",
-             "1.0 - np.multiply(out <= 0.0, 1.0 - LEAKY_SLOPE, dtype=out.dtype)", "reference"),
+            ("np.add(np.multiply(mask, 1.0 - LEAKY_SLOPE, out=mask), LEAKY_SLOPE, out=mask)",
+             "np.subtract(1.0, np.multiply(1.0 - mask, 1.0 - LEAKY_SLOPE, out=mask), out=mask)",
+             "reference"),
             # inputs=False stopping at a hidden layer instead of layer 0
             ("if i or inputs else None", "if i > 1 or inputs else None", "partial"),
+            # a buffered relu/leaky_relu mask that is 1 where out == 0
+            ("np.greater(out, 0.0, out=", "np.greater_equal(out, 0.0, out=", "buffered"),
+            # the mask built over the upstream gradient's copy in scratch[0]
+            ("None if scratch is None else scratch[2]", "None if scratch is None else scratch[0]",
+             "buffered"),
         ],
-        ids=["fmax", "slope", "inputs-skip"],
+        ids=["fmax", "slope", "inputs-skip", "buffered-mask", "buffered-mask-vector"],
     )
     def test_oracle_catches_broken_kernels(self, monkeypatch, old, new, check):
         checks = {
@@ -490,6 +548,8 @@ class TestMatchesReference:
             "reference": lambda k: check_matches_reference(k, ("leaky_relu", "tanh", "leaky_relu"),
                                                            50, 0.05, 1),
             "partial": lambda k: check_partial_backward(k, ("relu", "relu", "linear"), 2),
+            "buffered": lambda k: check_buffered_matches_reference(
+                k, ("leaky_relu", "relu", "leaky_relu"), 50, 0.05, 1),
         }
         checks[check](nn)
         mutant = mutant_nn(monkeypatch, old, new)  # outside raises: `old` must be in the source
@@ -564,9 +624,11 @@ class TestDtype:
             model, _ = gan.train_gan(data, t, cfg)
             assert model.generator.params.dtype == model.critic.params.dtype == f32
             rng = np.random.default_rng(0)
-            fake, gen_tape, cache = gan._generate(model, nn.one_hot([1] * 20, 5, f32), rng)
+            x = np.concatenate([np.zeros((20, cfg.noise_dim), f32), nn.one_hot([1] * 20, 5, f32)],
+                               axis=1)
+            fake, gen_tape, cache = gan._generate(model, x, rng)
             grad_raw = gan._output_backward(np.ones_like(fake), cache, cfg.gumbel_temperature)
-        arrays = [fake, grad_raw, cache[2], *cache[3], *(a for xy in gen_tape for a in xy)]
+        arrays = [fake, grad_raw, cache[2], cache[3], *(a for xy in gen_tape for a in xy)]
         arrays += softmax_inputs
         assert softmax_inputs and [a.dtype for a in arrays] == [f32] * len(arrays)
 
@@ -595,8 +657,9 @@ class TestDtype:
         assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
 
 
-def reference_backward_into(net, tape, upstream, grad=None, *, inputs=True):
-    """`reference_backward` behind `nn.backward`'s signature."""
+def reference_backward_into(net, tape, upstream, grad=None, *, inputs=True, scratch=None):
+    """`reference_backward` behind `nn.backward`'s signature (in new arrays,
+    whatever `scratch` is given)."""
     pairs, grad_in = reference_backward(net, tape, upstream)
     if grad is not None:
         grad.params[:] = flatten(pairs)
@@ -616,20 +679,30 @@ class TestCallersMatchReference:
             ref = run()
         return real, ref
 
-    def test_train_gan(self, monkeypatch):
+    def _train_gan(self, monkeypatch, cfg):
         records, labels = make_surrogate_records(1000, seed=0)
         t = ds.fit_transformer(records)
         data = ds.EncodedDataset(t.encode_matrix(records), labels)
-        cfg = gan.GanConfig(epochs=1, batch_size=500, critic_steps=5, hidden=(256, 256), seed=0)
 
         def run():
             model, history = gan.train_gan(data, t, cfg)
             return model.generator.params, model.critic.params, np.array(history)
 
         real, ref = self._both(monkeypatch, run)
-        assert len(real[2]) == 2  # generator steps
         for a, b in zip(real, ref):
             assert_same(a, b)
+        return real
+
+    def test_train_gan(self, monkeypatch):
+        cfg = gan.GanConfig(epochs=1, batch_size=500, critic_steps=5, hidden=(256, 256), seed=0)
+        real = self._train_gan(monkeypatch, cfg)
+        assert len(real[2]) == 2  # generator steps
+
+    def test_train_gan_one_layer_critic(self, monkeypatch):
+        # every critic layer has one output, so each input gradient is a K=1 product
+        cfg = gan.GanConfig(epochs=1, batch_size=50, critic_steps=1, hidden=(), seed=0)
+        real = self._train_gan(monkeypatch, cfg)
+        assert len(real[2]) == 20  # generator steps
 
     def test_ppo_update(self, monkeypatch):
         rng = np.random.default_rng(0)
