@@ -326,25 +326,26 @@ def train(env_, policy, config, eval_data=None):
 
     Evaluation rows need eval_data; update rows are logged either way.
     """
-    log = TrainLog()
-    opt = nn.OptState.for_net(policy, "adam", config.learning_rate)
-    rng = np.random.default_rng(config.seed)
-    timesteps = 0
-    next_eval = config.eval_every
-    while timesteps < config.total_timesteps:
-        buffer = _collect_rollout(env_, policy, config, rng)
-        compute_gae(buffer, config.gamma, config.gae_lambda)
-        stats = ppo_update(policy, buffer, config, opt=opt, rng=rng)
-        timesteps += len(buffer)
-        log.updates.append((timesteps, stats))
-        if eval_data is not None and timesteps >= next_eval:
-            cm = evaluate(policy, eval_data, env_.config.mode)
-            log.append(timesteps, cm)
-            next_eval += config.eval_every
-    if eval_data is not None and config.total_timesteps > 0 and (
-        not log.rows or log.rows[-1][0] != timesteps
-    ):
-        log.append(timesteps, evaluate(policy, eval_data, env_.config.mode))
+    with nn.one_blas_thread():  # small matmuls: a second thread only spins
+        log = TrainLog()
+        opt = nn.OptState.for_net(policy, "adam", config.learning_rate)
+        rng = np.random.default_rng(config.seed)
+        timesteps = 0
+        next_eval = config.eval_every
+        while timesteps < config.total_timesteps:
+            buffer = _collect_rollout(env_, policy, config, rng)
+            compute_gae(buffer, config.gamma, config.gae_lambda)
+            stats = ppo_update(policy, buffer, config, opt=opt, rng=rng)
+            timesteps += len(buffer)
+            log.updates.append((timesteps, stats))
+            if eval_data is not None and timesteps >= next_eval:
+                cm = evaluate(policy, eval_data, env_.config.mode)
+                log.append(timesteps, cm)
+                next_eval += config.eval_every
+        if eval_data is not None and config.total_timesteps > 0 and (
+            not log.rows or log.rows[-1][0] != timesteps
+        ):
+            log.append(timesteps, evaluate(policy, eval_data, env_.config.mode))
     return log
 
 
@@ -354,7 +355,8 @@ def evaluate(policy, encoded_data, mode):
         raise ValueError(
             f"data dim {encoded_data.matrix.shape[1]} != policy obs dim {policy.obs_dim}"
         )
-    probs, _, _ = policy.forward(encoded_data.matrix)
+    with nn.one_blas_thread():
+        probs, _, _ = policy.forward(encoded_data.matrix)
     pred = np.argmax(probs, axis=1)
     truth, k = ds.task_labels(encoded_data.labels, mode)
     return metrics.confusion(pred, truth, k)

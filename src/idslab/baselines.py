@@ -208,7 +208,7 @@ def train_tree(X, y, max_depth=20, min_split=2):
 # --- MLP -------------------------------------------------------------------
 
 def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0):
-    """ReLU MLP with softmax head, minibatch cross-entropy, Adam."""
+    """ReLU MLP with softmax head, minibatch cross-entropy, Adam; on one BLAS thread."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.size == 0:
@@ -221,17 +221,21 @@ def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0)
     grad = nn.pack(net, np.empty_like(net.params))
     opt = nn.OptState.for_net(net, "adam", lr)
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            probs, tape = nn.forward(net, X[idx])
-            # d(mean cross-entropy)/d(probs); softmax backward turns this
-            # into (p - onehot)/m on the logits
-            target = nn.one_hot(y[idx], k)
-            dprobs = -target / np.maximum(probs, 1e-12) / idx.size
-            nn.backward(net, tape, dprobs, grad, inputs=False)
-            nn.update_params(net.params, grad.params, opt)
-    return Classifier(
-        kind="mlp", n_classes=k, _predict_proba=lambda A: nn.forward(net, A)[0], net=net
-    )
+    with nn.one_blas_thread():
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch):
+                idx = order[start : start + batch]
+                probs, tape = nn.forward(net, X[idx])
+                # d(mean cross-entropy)/d(probs); softmax backward turns this
+                # into (p - onehot)/m on the logits
+                target = nn.one_hot(y[idx], k)
+                dprobs = -target / np.maximum(probs, 1e-12) / idx.size
+                nn.backward(net, tape, dprobs, grad, inputs=False)
+                nn.update_params(net.params, grad.params, opt)
+
+    def predict_proba(A):
+        with nn.one_blas_thread():
+            return nn.forward(net, A)[0]
+
+    return Classifier(kind="mlp", n_classes=k, _predict_proba=predict_proba, net=net)

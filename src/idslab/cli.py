@@ -1,9 +1,9 @@
 """Experiment runner: preprocess -> GAN -> DRL/baselines -> reports.
 
 Every stage is a subcommand writing artifacts into the configured output
-directory; `run-all` chains them.  Outputs are fully determined by
-(config, seed): no timestamps, sorted JSON keys, so repeated runs produce
-byte-identical bundles.
+directory; `run-all` chains them.  Outputs are fully determined by (config,
+seed, BLAS thread count: the GAN's and detection's large-K matmuls round by
+it): no timestamps, sorted JSON keys, so reruns give byte-identical bundles.
 
 Exit codes: 0 success, 2 validation error, 3 missing upstream artifact,
 4 runtime failure.  With IDSLAB_DEBUG=1 a runtime failure also prints its

@@ -10,6 +10,10 @@ format stores any named set of nets bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import json
 from dataclasses import dataclass
 
@@ -27,6 +31,7 @@ __all__ = [
     "softmax",
     "softmax_backward",
     "one_hot",
+    "one_blas_thread",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -56,6 +61,31 @@ def one_hot(ids, k, dtype=np.float64):
     out = np.zeros((n, k), dtype)
     out[np.arange(n), ids] = 1.0
     return out
+
+
+@functools.cache
+def _blas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS in numpy's wheel (numpy.libs/,
+    or numpy/.dylibs/ on macOS), returning the old count; a no-op under any other BLAS."""
+    root = np.__path__[0]
+    for path in [*glob.glob(f"{root}.libs/libscipy_openblas*"),
+                 *glob.glob(f"{root}/.dylibs/libscipy_openblas*")]:
+        setter = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            return setter
+    return lambda count: count
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count: per thread
+    in OpenMP builds, process-wide in numpy's.  Small-K matmuls keep their bits."""
+    previous = _blas_thread_setter()(1)
+    try:
+        yield
+    finally:
+        _blas_thread_setter()(previous)
 
 
 def _act_forward(name, z):
@@ -194,7 +224,11 @@ def backward(net, tape, upstream, grad=None, *, inputs=True, scratch=None):
             dz.sum(axis=0, out=grad.biases[i])
         spare = (None if scratch is None  # the ping-pong vector that does not hold dz
                  else scratch[(net.n_layers - i) % 2][: x.size].reshape(x.shape))
-        g = np.matmul(dz, net.weights[i].T, out=spare) if i or inputs else None
+        w = net.weights[i]
+        outer = w.shape[1] == 1  # one output: an outer product, not a GEMM
+        g = (np.multiply if outer else np.matmul)(dz, w.T, out=spare) if i or inputs else None
+        if outer and g is not None:
+            g += 0.0  # -0.0 becomes +0.0, as in the GEMM's sum
     return g
 
 

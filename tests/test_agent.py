@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -388,6 +390,29 @@ class TestTrain:
         from idslab import metrics
 
         assert metrics.accuracy(cm) >= 0.95
+
+
+    def test_one_blas_thread_keeps_every_bit(self, monkeypatch):
+        # the real trunk on the 54-wide encoding at minibatch 64: the trunk's
+        # layer-1 input gradient is a matmul OpenBLAS splits over threads
+        cfg = agent.PpoConfig(rollout_length=2048, minibatch=64, total_timesteps=2048,
+                              eval_every=2048, seed=6)
+
+        def run():
+            env, data, _ = toy_env(mode="multiclass", n=3000, seed=6)
+            assert env.observation_dim == 54
+            policy = agent.PolicyNet(env.observation_dim, env.action_count, seed=6)
+            log = agent.train(env, policy, cfg, eval_data=data)
+            updates = [[t, *stats.values()] for t, stats in log.updates]
+            return policy.params, np.array(log.rows, dtype=np.float64), np.array(updates)
+
+        one = run()
+        with monkeypatch.context() as m:
+            m.setattr(nn, "one_blas_thread", contextlib.nullcontext)
+            default = run()
+        assert len(one[1]) == 1 and len(one[2]) == 1
+        for a, b in zip(one, default, strict=True):
+            assert_same(a, b)
 
 
 class TestDiagnostics:

@@ -1,12 +1,14 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idslab import baselines
+from idslab import baselines, dataset as ds, nn
 
-from conftest import reference_logreg
+from conftest import make_surrogate_records, reference_logreg
+from test_nn import assert_same
 
 
 def separable_blobs(n=400, seed=0, gap=4.0):
@@ -291,3 +293,19 @@ class TestMlp:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             baselines.train_mlp(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    def test_one_blas_thread_keeps_every_bit(self, monkeypatch):
+        # the 54-wide encoding at batch 256, as the baselines stage trains it
+        records, y = make_surrogate_records(2000, seed=4)
+        X = ds.fit_transformer(records).encode_matrix(records)
+
+        def run():
+            clf = baselines.train_mlp(X, y, epochs=2, seed=4)
+            return clf.net.params, clf.predict_proba(X)
+
+        one = run()
+        with monkeypatch.context() as m:
+            m.setattr(nn, "one_blas_thread", contextlib.nullcontext)
+            default = run()
+        for a, b in zip(one, default, strict=True):
+            assert_same(a, b)

@@ -358,12 +358,12 @@ def special_net(acts, rng, seed, specials=SPECIALS, sizes=None):
     return net
 
 
-def check_matches_reference(k, acts, n, share, seed, specials=SPECIALS):
+def check_matches_reference(k, acts, n, share, seed, specials=SPECIALS, sizes=None):
     """Kernel module `k` gives the reference's bits: activations alone, then
-    forward, its tape and backward on a net with activations `acts`, all in
-    specials' dtype."""
+    forward, its tape and backward on a net with activations `acts` (and layer
+    `sizes`, if given), all in specials' dtype."""
     rng = np.random.default_rng(seed)
-    net = special_net(acts, rng, seed, specials)
+    net = special_net(acts, rng, seed, specials, sizes)
     with np.errstate(all="ignore"):
         z = special_array(rng, (n, 7), share, specials)
         grad = special_array(rng, (n, 7), share, specials)
@@ -495,6 +495,21 @@ class TestMatchesReference:
     @settings(max_examples=25, deadline=None)
     @given(
         other=st.sampled_from(nn.ACTIVATIONS),
+        width=st.integers(1, 8),
+        n=st.integers(1, 1200),
+        share=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_output_layers_bit_equal(self, specials, act, other, width, n, share, seed):
+        # layers 0 and 2 have one output, so their input gradients are K=1 products
+        check_matches_reference(nn, (act, other, act), n, share, seed, specials,
+                                sizes=[width, 1, width, 1])
+
+    @pytest.mark.parametrize("specials", [SPECIALS, SPECIALS32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        other=st.sampled_from(nn.ACTIVATIONS),
         n=st.integers(1, 1200),
         share=st.sampled_from([0.0, 0.05, 0.5]),
         seed=st.integers(0, 2**32 - 1),
@@ -539,8 +554,11 @@ class TestMatchesReference:
             # the mask built over the upstream gradient's copy in scratch[0]
             ("None if scratch is None else scratch[2]", "None if scratch is None else scratch[0]",
              "buffered"),
+            # a one-output layer's outer product left with the -0.0 the GEMM's sum drops
+            ("g += 0.0", "pass", "outer"),
         ],
-        ids=["fmax", "slope", "inputs-skip", "buffered-mask", "buffered-mask-vector"],
+        ids=["fmax", "slope", "inputs-skip", "buffered-mask", "buffered-mask-vector",
+             "outer-negative-zero"],
     )
     def test_oracle_catches_broken_kernels(self, monkeypatch, old, new, check):
         checks = {
@@ -550,6 +568,8 @@ class TestMatchesReference:
             "partial": lambda k: check_partial_backward(k, ("relu", "relu", "linear"), 2),
             "buffered": lambda k: check_buffered_matches_reference(
                 k, ("leaky_relu", "relu", "leaky_relu"), 50, 0.05, 1),
+            "outer": lambda k: check_matches_reference(k, ("leaky_relu", "linear", "leaky_relu"),
+                                                       50, 0.05, 1, sizes=[5, 1, 5, 1]),
         }
         checks[check](nn)
         mutant = mutant_nn(monkeypatch, old, new)  # outside raises: `old` must be in the source
@@ -605,6 +625,43 @@ class TestAliasing:
             flags = {"grad": nn.pack(net, np.empty_like(net.params))}
         with pytest.raises(ValueError, match="gradient shape"):
             nn.backward(net, tape, np.zeros((5, 3)), **flags)
+
+
+class TestOneBlasThread:
+    """one_blas_thread sets numpy's bundled OpenBLAS to one thread and gives the
+    count it found back, however its block ends."""
+
+    @pytest.fixture(autouse=True)
+    def setter(self):
+        setter = nn._blas_thread_setter()
+        if getattr(setter, "__name__", None) != "openblas_set_num_threads_local":
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS: one_blas_thread is a no-op")
+        kept = setter(2)  # a count one_blas_thread must give back
+        yield setter
+        setter(kept)
+
+    @staticmethod
+    def threads(setter):
+        count = setter(1)  # the setter returns the count it replaces
+        setter(count)
+        return count
+
+    def test_one_thread_inside_and_restored_after(self, setter):
+        with nn.one_blas_thread():
+            assert self.threads(setter) == 1
+        assert self.threads(setter) == 2
+
+    def test_restored_when_the_block_raises(self, setter):
+        with pytest.raises(KeyError), nn.one_blas_thread():
+            raise KeyError("boom")
+        assert self.threads(setter) == 2
+
+    def test_nested(self, setter):
+        with nn.one_blas_thread():
+            with nn.one_blas_thread():
+                assert self.threads(setter) == 1
+            assert self.threads(setter) == 1
+        assert self.threads(setter) == 2
 
 
 class TestDtype:
