@@ -267,7 +267,7 @@ def ppo_update(policy, buffer, config, opt=None, rng=None):
             if not math.isfinite(row[0]):
                 raise FloatingPointError(f"drl-train: non-finite PPO loss ({row[0]}) in "
                                          f"update epoch {epoch}, minibatch {j}")
-            nn.clip_global_norm(policy.grads, config.max_grad_norm)
+            nn.clip_global_norm(policy.grad, config.max_grad_norm)
             nn.update_params(policy.params, policy.grad, opt)
             stats[:, epoch * per_epoch + j] = row
     means = dict(zip(UPDATE_STATS, (float(np.mean(s)) if s.size else 0.0 for s in stats)))

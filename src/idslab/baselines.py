@@ -23,8 +23,6 @@ __all__ = [
 
 @dataclass
 class Classifier:
-    kind: str  # "logreg" | "tree" | "mlp"
-    n_classes: int
     _predict_proba: callable = field(repr=False)
     net: object = field(default=None, repr=False)  # fitted DenseNet, if any
 
@@ -81,10 +79,7 @@ def train_logreg(X, y, n_classes=None, l2=1e-4, epochs=300, lr=1e-2, seed=0):
     (net,), _ = _fit_softmax(X, y, k, np.ones((1, n), dtype=bool), np.zeros((1, d)),
                              np.ones((1, d)), [seed], l2, epochs, lr)
     W, b = net.weights[0].copy(), net.biases[0].copy()
-    return Classifier(
-        kind="logreg", n_classes=k, _predict_proba=lambda A: nn.softmax(A @ W + b),
-        net=net,
-    )
+    return Classifier(_predict_proba=lambda A: nn.softmax(A @ W + b), net=net)
 
 
 # --- CART ------------------------------------------------------------------
@@ -102,14 +97,6 @@ class _Node:
         return self.left is None
 
 
-def _gini(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - float((p * p).sum())
-
-
 # Sorted values per feature block of the split search.  The block's
 # (features, rows, classes) count arrays hold k times as many floats, so
 # memory stays bounded at any row count: a node of up to 2 427 rows takes
@@ -118,8 +105,8 @@ _BLOCK_ELEMENTS = 1 << 17
 
 
 def _gini_rows(counts, size):
-    """Gini impurity of every (feature, boundary) class-count vector, with
-    `_gini`'s arithmetic; `size` holds each boundary's row count."""
+    """Gini impurity 1 - sum(p^2), p = counts / size, of every (feature, boundary)
+    class-count vector; `size` holds each boundary's row count."""
     p = counts / size[:, None]
     p *= p
     return 1.0 - p.sum(axis=-1)
@@ -166,7 +153,7 @@ def _best_split(X, y, k):
 def _grow(X, y, k, depth, max_depth, min_split):
     counts = np.bincount(y, minlength=k).astype(np.float64)
     node = _Node(prediction=counts / max(counts.sum(), 1.0))
-    if depth >= max_depth or y.size < min_split or _gini(counts) == 0.0:
+    if depth >= max_depth or y.size < min_split or np.count_nonzero(counts) <= 1:
         return node
     split = _best_split(X, y, k)
     if split is None:
@@ -202,7 +189,7 @@ def train_tree(X, y, max_depth=20, min_split=2):
             pending.append((node.right, rows[~go_left]))
         return out
 
-    return Classifier(kind="tree", n_classes=k, _predict_proba=predict_proba)
+    return Classifier(_predict_proba=predict_proba)
 
 
 # --- MLP -------------------------------------------------------------------
@@ -238,4 +225,4 @@ def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0)
         with nn.one_blas_thread():
             return nn.forward(net, A)[0]
 
-    return Classifier(kind="mlp", n_classes=k, _predict_proba=predict_proba, net=net)
+    return Classifier(_predict_proba=predict_proba, net=net)

@@ -242,9 +242,9 @@ def stage_preprocess(config):
     print(f"preprocess: {len(train_records)} train / {len(test_records)} test records")
 
 
-def _load_encoded(config, name, producer="preprocess"):
+def _load_encoded(config, name):
     out = Path(config["out_dir"])
-    return ds.EncodedDataset.load(_require(out / f"{name}.npz", producer))
+    return ds.EncodedDataset.load(_require(out / f"{name}.npz", "preprocess"))
 
 
 def _load_transformer(config):
@@ -268,19 +268,17 @@ def stage_gan_sample(config):
     out = _out(config)
     model = gan.GanModel.load(_require(out / "gan_model.npz", "gan-train"))
     # written before the conditional rows are drawn: one sample set is held at a time
-    gan.export_synthetic(gan.sample_unconditional(model, config["rows"], seed=config["seed"] + 100),
+    rows = gan.sample_unconditional(model, config["rows"], seed=config["seed"] + 100)
+    gan.export_synthetic([r for r, _ in rows], [label for _, label in rows],
                          out / "synthetic_wgan.csv")
-    conditional = []
-    for cls in range(ds.N_CLASSES):
-        records = gan.sample_conditional(
-            model, cls, config["rows_per_class"], seed=config["seed"] + 200 + cls
-        )
-        conditional.extend((rec, cls) for rec in records)
-    gan.export_synthetic(conditional, out / "synthetic_wgan_conditional.csv")
-    print(
-        f"gan-sample: {config['rows']} unconditional rows, "
-        f"{len(conditional)} conditional rows"
-    )
+    del rows
+    n = config["rows_per_class"]
+    conditional = ds.Records.concat(
+        gan.sample_conditional(model, cls, n, seed=config["seed"] + 200 + cls)
+        for cls in range(ds.N_CLASSES))
+    gan.export_synthetic(conditional, np.repeat(np.arange(ds.N_CLASSES), n),
+                         out / "synthetic_wgan_conditional.csv")
+    print(f"gan-sample: {config['rows']} unconditional rows, {len(conditional)} conditional rows")
 
 
 def _load_synthetic(config, source):

@@ -14,8 +14,10 @@ one-hot Gumbel-max draw, and the generator's gradient flows through the
 softmax relaxation.  Both networks train with RMSProp; critic weights are
 clipped to +/-weight_clip after every critic step.
 
-Labels are plain class ids: `sample_unconditional` returns (RawRecord,
-class id) pairs, and `export_synthetic` writes each id's class symbol.
+Labels are plain class ids.  `sample_conditional` returns columns (a
+Records), `sample_unconditional` (RawRecord, class id) pairs;
+`export_synthetic` takes records and ids apart and writes a block of
+columns at a time, each id as its class symbol.
 
 Both nets train and sample in float32 (`DTYPE`), as WGANs usually are: their
 matmuls, most of training, run about twice as fast as in float64.  Decoded
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dataset import CLASS_SYMBOLS, N_CLASSES, Records, Transformer, _F20_RAW_INDEX
+from .dataset import CLASS_SYMBOLS, N_CLASSES, Records, Transformer, _F20_RAW_INDEX, as_records
 
 __all__ = [
     "GanConfig",
@@ -300,21 +302,22 @@ def sample_conditional(model, target_class, n, seed=0):
 _EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
 
 
-def export_synthetic(rows, path):
-    """Write (RawRecord, class id) rows as NSL-KDD-format CSV, formatting a
-    block of rows a column at a time.
+def export_synthetic(records, labels, path):
+    """Write records (a Records or RawRecord rows) and their class ids as
+    NSL-KDD-format CSV, formatting a block of rows a column at a time.
 
     The constant num_outbound_cmds column is re-inserted as 0 so the file
     has the standard 41 feature columns; the label slot holds the class
     symbol (re-parse maps symbols directly).
     """
+    symbols = np.array(CLASS_SYMBOLS, dtype=object)[np.asarray(labels, dtype=np.int64)]
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(rows), _EXPORT_ROWS):
-            block = rows[start : start + _EXPORT_ROWS]
+        for start in range(0, len(records), _EXPORT_ROWS):
+            stop = start + _EXPORT_ROWS
             # categories as they are, integral floats as str(int(v)), others as f"{v:.6g}"
             columns = [col.tolist() if col.dtype == object else
                        [str(int(v)) if v.is_integer() else f"{v:.6g}" for v in col.tolist()]
-                       for col in Records.from_rows(r for r, _ in block).columns]
-            columns.insert(_F20_RAW_INDEX, ["0"] * len(block))
-            columns.append([CLASS_SYMBOLS[label] for _, label in block])
+                       for col in as_records(records[start:stop]).columns]
+            columns.insert(_F20_RAW_INDEX, ["0"] * len(columns[0]))
+            columns.append(symbols[start:stop].tolist())
             fh.write("".join(f"{line}\n" for line in map(",".join, zip(*columns))))

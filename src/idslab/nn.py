@@ -36,7 +36,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "tanh", "linear", "softmax")
+ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "linear", "softmax")
 LEAKY_SLOPE = 0.2
 CHECKPOINT_VERSION = 2
 
@@ -89,15 +89,13 @@ def one_blas_thread():
 
 
 def _act_forward(name, z):
-    """Activation of the pre-activation `z`; relu, leaky_relu and tanh overwrite z."""
+    """Activation of the pre-activation `z`; relu and leaky_relu overwrite z."""
     if name == "relu":
         return np.maximum(z, 0.0, out=z)
     if name == "leaky_relu":  # max(z, 0.2 z): np.where's data-dependent branch is slower
         return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if name == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
-    if name == "tanh":
-        return np.tanh(z, out=z)
     if name == "linear":
         return z
     if name == "softmax":
@@ -118,8 +116,6 @@ def _act_backward(name, out, grad, tmp=None):
         return np.multiply(grad, mask, out=grad)
     if name == "sigmoid":
         return np.multiply(np.multiply(grad, out, out=grad), 1.0 - out, out=grad)
-    if name == "tanh":
-        return np.multiply(grad, 1.0 - out * out, out=grad)
     if name == "linear":
         return grad
     if name == "softmax":
@@ -274,17 +270,12 @@ def update_params(params, grad, state):
     params -= np.divide(num, den, out=num)
 
 
-def clip_global_norm(grads, max_norm):
-    """Scale gradient nets in place to a global norm cap; returns the norm before."""
-    total = 0.0
-    for g in grads:
-        for dw, db in zip(g.weights, g.biases):
-            total += float((dw * dw).sum()) + float((db * db).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for g in grads:
-            g.params *= scale
+def clip_global_norm(grad, max_norm):
+    """Scale a gradient vector in place to a global norm cap; returns the norm before.
+    The sum is einsum's, not np.dot's: OpenBLAS splits a long dot over its threads."""
+    norm = np.sqrt(np.einsum("i,i", grad, grad))
+    if norm > max_norm:
+        grad *= max_norm / norm
     return norm
 
 

@@ -3,12 +3,16 @@
 Tables are dicts of column name -> numpy array (object dtype for
 categorical columns, float for the rest).  Four scores, all in [0, 1]:
 
-* cs_score       - mean chi-squared p-value over categorical columns
-* ks_score       - mean (1 - KS D statistic) over continuous columns
-* ks_score_extended - ordinal-rank transform of categoricals, then KS on all
-* detection_score   - 1 - mean ROC AUC of a cross-validated real/synth
-                      logistic-regression discriminator; its folds train
-                      together, one pass over the encoded rows per epoch
+* cs_test          - mean chi-squared p-value over categorical columns
+* ks_test          - mean (1 - KS D statistic) over continuous columns
+* ks_test_extended - categoricals as ranks by real frequency, then KS on all
+* detection_score  - 1 - mean ROC AUC of a cross-validated real/synth
+                     logistic-regression discriminator; its folds train
+                     together, one pass over the encoded rows per epoch
+
+Both categorical tests code a real/synthetic column pair once, as indices
+into the union of its categories sorted by name: CSTest counts the codes,
+KSTest-extended ranks them.
 """
 
 from __future__ import annotations
@@ -131,11 +135,17 @@ def chi2_sf(stat, dof):
 
 # --- CSTest ----------------------------------------------------------------
 
+def _category_codes(real_col, synth_col):
+    """Both columns as codes into their category union, sorted by name."""
+    cats, codes = np.unique(np.concatenate([real_col, synth_col]).astype(str), return_inverse=True)
+    return codes[: len(real_col)], codes[len(real_col) :], len(cats)
+
+
 def _pooled_counts(real_col, synth_col):
     """2 x m contingency counts over the category union, rare ones pooled."""
-    cats = sorted(set(real_col) | set(synth_col), key=str)
-    real = np.array([np.sum(real_col == c) for c in cats], dtype=np.float64)
-    synth = np.array([np.sum(synth_col == c) for c in cats], dtype=np.float64)
+    real_codes, synth_codes, k = _category_codes(real_col, synth_col)
+    real = np.bincount(real_codes, minlength=k).astype(np.float64)
+    synth = np.bincount(synth_codes, minlength=k).astype(np.float64)
     # pool smallest-expected categories until the chi-squared rule holds
     while len(real) > 2:
         n = real.sum() + synth.sum()
@@ -199,27 +209,17 @@ def ks_test(real_table, synth_table, continuous_cols=None):
     return float(np.mean(scores))
 
 
-def _rank_map(real_col, synth_col):
-    """Category -> ordinal rank: descending real-table frequency, lexical
-    tie-break; synthetic-only categories appended after."""
-    cats, counts = np.unique(real_col.astype(str), return_counts=True)
-    order = sorted(range(len(cats)), key=lambda i: (-counts[i], cats[i]))
-    mapping = {cats[i]: rank for rank, i in enumerate(order)}
-    extras = sorted(set(map(str, synth_col)) - set(mapping))
-    for cat in extras:
-        mapping[cat] = len(mapping)
-    return mapping
-
-
 def ks_test_extended(real_table, synth_table, categorical_cols=None):
     """KS over ALL columns after mapping categoricals to frequency ranks."""
     cat_cols = categorical_cols if categorical_cols is not None else _categorical_cols(real_table)
     real_num, synth_num = {}, {}
     for col in real_table:
         if col in cat_cols:
-            mapping = _rank_map(real_table[col], synth_table[col])
-            real_num[col] = np.array([mapping[str(v)] for v in real_table[col]], dtype=np.float64)
-            synth_num[col] = np.array([mapping[str(v)] for v in synth_table[col]], dtype=np.float64)
+            # ranks by descending real count, then by name: synthetic-only categories last
+            real_codes, synth_codes, k = _category_codes(real_table[col], synth_table[col])
+            order = np.lexsort((np.arange(k), -np.bincount(real_codes, minlength=k)))
+            rank = np.argsort(order)  # the inverse permutation
+            real_num[col], synth_num[col] = rank[real_codes], rank[synth_codes]
         else:
             real_num[col] = real_table[col]
             synth_num[col] = synth_table[col]

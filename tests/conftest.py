@@ -108,8 +108,6 @@ def reference_act_forward(name, z):
         return np.where(z > 0.0, z, nn.LEAKY_SLOPE * z)
     if name == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
-    if name == "tanh":
-        return np.tanh(z)
     if name == "linear":
         return z
     if name == "softmax":
@@ -125,8 +123,6 @@ def reference_act_backward(name, out, grad):
         return grad * np.where(out > 0.0, 1.0, nn.LEAKY_SLOPE).astype(out.dtype)
     if name == "sigmoid":
         return grad * out * (1.0 - out)
-    if name == "tanh":
-        return grad * (1.0 - out * out)
     if name == "linear":
         return grad
     if name == "softmax":
@@ -178,13 +174,12 @@ def backward_pairs(net, tape, upstream, *, inputs=True):
 
 
 def reference_clip_global_norm(grad_lists, max_norm):
-    """`nn.clip_global_norm` on per-net lists of (dW, db) pairs, scaling each array."""
-    total = 0.0
-    for grads in grad_lists:
-        for dw, db in grads:
-            total += float((dw * dw).sum()) + float((db * db).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm and norm > 0.0:
+    """`nn.clip_global_norm` on per-net lists of (dW, db) pairs: the norm of all of
+    them flattened in params order (einsum's sum, as nn's), then each array scaled
+    in place above the cap."""
+    flat = np.concatenate([flatten(grads) for grads in grad_lists])
+    norm = np.sqrt(np.einsum("i,i", flat, flat))
+    if norm > max_norm:
         scale = max_norm / norm
         for grads in grad_lists:
             for dw, db in grads:

@@ -278,6 +278,17 @@ class TestFusedKernel:
         losses = [s["loss"] for s in per_minibatch]
         assert stats["loss"] != float(np.average(losses, weights=[64, 36] * cfg.update_epochs))
 
+    def test_clipping_the_vector_scales_the_gradient_nets(self):
+        policy = agent.PolicyNet(6, 3, seed=23)
+        policy.grad[...] = np.random.default_rng(24).normal(size=policy.grad.size)
+        kept = [[w.copy() for w in g.weights] for g in policy.grads]
+        norm = nn.clip_global_norm(policy.grad, 0.5)
+        assert norm > 0.5
+        for g, weights in zip(policy.grads, kept, strict=True):
+            for w, before in zip(g.weights, weights, strict=True):
+                assert np.shares_memory(w, policy.grad)
+                assert_same(w, before * (0.5 / norm))
+
 
 class _FixedUniform:
     """Stands in for a Generator whose random() always returns u."""

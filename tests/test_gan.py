@@ -289,7 +289,7 @@ class TestExport:
         model, _, _ = surrogate_model()
         rows = gan.sample_unconditional(model, 30, seed=1)
         path = tmp_path / "synth.csv"
-        gan.export_synthetic(rows, path)
+        gan.export_synthetic([r for r, _ in rows], [label for _, label in rows], path)
         parsed = ds.parse_kdd_file(path)
         assert len(parsed) == 30
         for (orig, label), back in zip(rows, parsed):
@@ -302,13 +302,13 @@ class TestExport:
         model, _, _ = surrogate_model()
         rows = gan.sample_unconditional(model, 25, seed=6)
         path = tmp_path / "synth.csv"
-        gan.export_synthetic(rows, path)
+        gan.export_synthetic([r for r, _ in rows], [label for _, label in rows], path)
         parsed = ds.parse_kdd_file(path)
         assert ds.labels_for(parsed).tolist() == [label for _, label in rows]
 
     def test_empty_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
-        gan.export_synthetic([], path)
+        gan.export_synthetic([], [], path)
         assert path.read_text() == ""
 
     def test_text_matches_reference(self, tmp_path, monkeypatch):
@@ -321,6 +321,8 @@ class TestExport:
             values[i] = v
         rows.append((ds.RawRecord(values=tuple(values), attack_name=""), 4))
         monkeypatch.setattr(gan, "_EXPORT_ROWS", 7)  # several blocks, the last one short
-        path = tmp_path / "synth.csv"
-        gan.export_synthetic(rows, path)
-        assert path.read_text() == reference_export_text(rows)
+        records, labels = [r for r, _ in rows], [label for _, label in rows]
+        for given in (records, ds.Records.from_rows(records)):  # rows, then columns
+            path = tmp_path / "synth.csv"
+            gan.export_synthetic(given, labels, path)
+            assert path.read_text() == reference_export_text(rows)

@@ -221,10 +221,61 @@ class TestKsTestExtended:
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_rank_ties_broken_lexically(self):
-        real_col = np.array(["b", "a"], dtype=object)  # equal frequency
-        synth_col = np.array(["a", "b"], dtype=object)
-        mapping = se._rank_map(real_col, synth_col)
-        assert mapping["a"] == 0 and mapping["b"] == 1
+        real = {"flag": np.array(["b", "a", "c", "c", "c"], dtype=object)}  # a and b tie
+        synth = {"flag": np.array(["a"] * 4, dtype=object)}
+        # ranks c=0, a=1, b=2: D = 0.6, where a=2, b=1 would give D = 0.8
+        ranked = se.ks_test({"flag": [2, 1, 0, 0, 0]}, {"flag": [1] * 4}, continuous_cols=["flag"])
+        assert se.ks_test_extended(real, synth) == ranked
+
+
+def reference_pooled_counts(real_col, synth_col):
+    """`_pooled_counts` as a plain-Python coder: the union sorted by str, one `==`
+    count per category, then the same pooling."""
+    cats = sorted(set(real_col) | set(synth_col), key=str)
+    real = np.array([np.sum(real_col == c) for c in cats], dtype=np.float64)
+    synth = np.array([np.sum(synth_col == c) for c in cats], dtype=np.float64)
+    while len(real) > 2:
+        n = real.sum() + synth.sum()
+        expected = np.minimum(real.sum(), synth.sum()) * (real + synth) / n
+        worst = int(np.argmin(expected))
+        if expected[worst] >= se.MIN_EXPECTED:
+            break
+        keep = np.arange(len(real)) != worst
+        pool_to = int(np.argmin(np.where(keep, expected, np.inf)))
+        real[pool_to] += real[worst]
+        synth[pool_to] += synth[worst]
+        real, synth = real[keep], synth[keep]
+    return real, synth
+
+
+def reference_rank_map(real_col, synth_col):
+    """Category -> rank by (-real count, name); synthetic-only ones appended by name."""
+    cats, counts = np.unique(real_col.astype(str), return_counts=True)
+    order = sorted(range(len(cats)), key=lambda i: (-counts[i], cats[i]))
+    mapping = {cats[i]: rank for rank, i in enumerate(order)}
+    for cat in sorted(set(map(str, synth_col)) - set(mapping)):
+        mapping[cat] = len(mapping)
+    return mapping
+
+
+# real-only, shared and synthetic-only names, "B" < "a" and "10" < "2" by str
+_REAL_CATS, _SYNTH_CATS = ["tcp", "B", "a", "10", "2"], ["a", "10", "2", "udp", "icmp"]
+
+
+class TestCategoryCoder:
+    @settings(max_examples=200, deadline=None)
+    @given(real=st.lists(st.sampled_from(_REAL_CATS), min_size=1, max_size=80),
+           synth=st.lists(st.sampled_from(_SYNTH_CATS), min_size=1, max_size=80))
+    def test_matches_plain_python_coder(self, real, synth):
+        real_table = {"service": np.array(real, dtype=object), "x": np.arange(len(real), 0.0, -1)}
+        synth_table = {"service": np.array(synth, dtype=object), "x": np.zeros(len(synth))}
+        assert se.cs_test(real_table, synth_table) == se._chi2_p_value(
+            *reference_pooled_counts(real_table["service"], synth_table["service"]))
+        mapping = reference_rank_map(real_table["service"], synth_table["service"])
+        ranked = [{"service": [mapping[v] for v in t["service"]], "x": t["x"]}
+                  for t in (real_table, synth_table)]
+        assert se.ks_test_extended(real_table, synth_table) == se.ks_test(
+            *ranked, continuous_cols=["service", "x"])
 
 
 class TestRocAuc:
