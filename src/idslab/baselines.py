@@ -33,6 +33,14 @@ class Classifier:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
+def _training_arrays(X, y):
+    """X as float64 and y as int64; a ValueError if X has no entries."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    if X.size == 0:
+        raise ValueError("empty training data")
+    return X, y
+
+
 def _fit_softmax(X, y, k, train, mu, sd, seeds, l2, epochs, lr):
     """Fit one L2 softmax regression per fold f, on the rows train[f] of
     (X - mu[f]) / sd[f] from init_net seed seeds[f], by full-batch Adam.
@@ -70,10 +78,7 @@ def _fit_softmax(X, y, k, train, mu, sd, seeds, l2, epochs, lr):
 
 def train_logreg(X, y, n_classes=None, l2=1e-4, epochs=300, lr=1e-2, seed=0):
     """L2-regularized softmax regression, full-batch Adam."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.size == 0:
-        raise ValueError("empty training data")
+    X, y = _training_arrays(X, y)
     k = n_classes if n_classes is not None else int(y.max()) + 1
     n, d = X.shape
     (net,), _ = _fit_softmax(X, y, k, np.ones((1, n), dtype=bool), np.zeros((1, d)),
@@ -169,10 +174,7 @@ def _grow(X, y, k, depth, max_depth, min_split):
 
 def train_tree(X, y, max_depth=20, min_split=2):
     """CART with Gini impurity over midpoint thresholds."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.size == 0:
-        raise ValueError("empty training data")
+    X, y = _training_arrays(X, y)
     k = int(y.max()) + 1
     root = _grow(X, y, k, 0, max_depth, min_split)
 
@@ -196,10 +198,7 @@ def train_tree(X, y, max_depth=20, min_split=2):
 
 def train_mlp(X, y, hidden=(128, 64, 32), epochs=20, batch=256, lr=1e-3, seed=0):
     """ReLU MLP with softmax head, minibatch cross-entropy, Adam; on one BLAS thread."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.size == 0:
-        raise ValueError("empty training data")
+    X, y = _training_arrays(X, y)
     k = int(y.max()) + 1
     n, d = X.shape
     sizes = [d, *hidden, k]

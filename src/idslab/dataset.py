@@ -430,7 +430,7 @@ def fit_transformer(records):
             specs.append(replace(spec, categories=tuple(sorted(set(col.tolist())))))
         else:
             _check_scalable(spec, col, finite=True)
-            vals = np.log1p(col) if spec.log_scaled else col
+            vals = _math_map(math.log1p, col) if spec.log_scaled else col
             mins.append(float(vals.min()))
             maxs.append(float(vals.max()))
             specs.append(spec)

@@ -1,14 +1,15 @@
-"""Fidelity scoring of synthetic tables against real tables.
+"""Fidelity scores of synthetic records against real records.
 
-Tables are dicts of column name -> numpy array (object dtype for
-categorical columns, float for the rest).  Four scores, all in [0, 1]:
+records_to_table makes a table: a dict of column name -> numpy array
+(object dtype for categorical columns, float for the rest).  Four scores,
+all in [0, 1], are the columns cli.stage_gan_eval writes to fidelity.csv:
 
 * cs_test          - mean chi-squared p-value over categorical columns
 * ks_test          - mean (1 - KS D statistic) over continuous columns
 * ks_test_extended - categoricals as ranks by real frequency, then KS on all
-* detection_score  - 1 - mean ROC AUC of a cross-validated real/synth
-                     logistic-regression discriminator; its folds train
-                     together, one pass over the encoded rows per epoch
+* detection_score  - 1 - mean ROC AUC of a cross-validated discriminator
+                     of the real and synthetic records (logistic; its folds
+                     train together, one pass over the encoded rows per epoch)
 
 Both categorical tests code a real/synthetic column pair once, as indices
 into the union of its categories sorted by name: CSTest counts the codes,
@@ -18,7 +19,6 @@ KSTest-extended ranks them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .baselines import _fit_softmax
 from .metrics import UndefinedMetricError
 
 __all__ = [
-    "FidelityReport",
     "UndefinedMetricError",
     "cs_test",
     "ks_test",
@@ -36,7 +35,6 @@ __all__ = [
     "detection_score",
     "chi2_sf",
     "records_to_table",
-    "fidelity_report",
 ]
 
 # Columns treated as categorical for CSTest; everything else (including 0/1
@@ -45,20 +43,6 @@ CATEGORICAL_COLUMNS = ("protocol_type", "service", "flag", "class")
 
 MIN_EXPECTED = 5.0  # chi-squared validity rule; rarer categories are pooled
 DETECTION_FOLDS = 5  # folds of the detection score; each side needs as many rows
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    cstest: float
-    kstest: float
-    kstest_extended: float
-    detection: float
-
-    def csv_row(self, name):
-        return (
-            f"{name},{self.cstest:.4f},{self.kstest:.4f},"
-            f"{self.kstest_extended:.4f},{self.detection:.4f}"
-        )
 
 
 def records_to_table(records, labels):
@@ -293,17 +277,3 @@ def detection_score(real_records, synth_records, folds=DETECTION_FOLDS, seed=0,
     aucs = [roc_auc(p[1, ~rows], flags[~rows]) for p, rows in zip(probs, train)]
     return 1.0 - float(np.mean(aucs))
 
-
-def fidelity_report(real_records, real_labels, synth_records, synth_labels,
-                    seed=0, detection_kwargs=None):
-    """Bundle all four scores for one synthetic dataset."""
-    real_table = records_to_table(real_records, real_labels)
-    synth_table = records_to_table(synth_records, synth_labels)
-    return FidelityReport(
-        cstest=cs_test(real_table, synth_table),
-        kstest=ks_test(real_table, synth_table),
-        kstest_extended=ks_test_extended(real_table, synth_table),
-        detection=detection_score(
-            real_records, synth_records, seed=seed, **(detection_kwargs or {})
-        ),
-    )

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -294,4 +295,11 @@ class TestRunAll:
         # 3 sources x (drl + 3 baselines) result rows
         assert len(perf) == 1 + 12
         assert (out / "per_class_f1.csv").exists()
-        assert (out / "fidelity.csv").exists()
+        fidelity = (out / "fidelity.csv").read_text().splitlines()
+        assert fidelity[0] == "dataset,cstest,kstest,kstest_extended,detection"
+        rows = [line.split(",") for line in fidelity[1:]]
+        assert [row[0] for row in rows] == ["wgan", "wgan-conditional"]
+        for row in rows:
+            assert len(row) == 5
+            for cell in row[1:]:
+                assert re.fullmatch(r"\d\.\d{4}", cell) and 0.0 <= float(cell) <= 1.0, row

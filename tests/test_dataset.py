@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from idslab import dataset as ds
@@ -517,6 +517,27 @@ def test_codec_roundtrip_property(records):
                 assert got == orig
             else:
                 assert abs(got - orig) < 1e-9
+
+
+def _log_max_rows(log_max):
+    """Two rows: 0 and then log_max in every log-scaled column, the rest constant."""
+    zero = tuple("a" if spec.kind == ds.CATEGORICAL else 0.0 for spec in ds.FEATURE_SCHEMA)
+    top = tuple(log_max if spec.log_scaled else v for spec, v in zip(ds.FEATURE_SCHEMA, zero))
+    return [ds.RawRecord(values=zero, attack_name="normal"),
+            ds.RawRecord(values=top, attack_name="normal")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(_RECORD, min_size=1, max_size=12))
+@example(records=_log_max_rows(2.0))  # numpy's and math's log1p differ in the last bit
+@example(records=_log_max_rows(850624225.0))
+def test_training_extremes_encode_to_exact_bounds_property(records):
+    t = ds.fit_transformer(records)
+    M = t.encode_matrix(records)
+    names = [spec.name for spec in t.specs if spec.kind == ds.CONTINUOUS]
+    for name, off, lo, hi in zip(names, t.continuous_indices(), t.mins, t.maxs):
+        if hi > lo:
+            assert (M[:, off].min(), M[:, off].max()) == (0.0, 1.0), name
 
 
 class TestHistogramAndBinary:

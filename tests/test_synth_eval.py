@@ -407,16 +407,3 @@ class TestDetection:
         ):
             with pytest.raises(ValueError, match=message):
                 se.detection_score(real, synth, folds=folds)
-
-
-def test_fidelity_report_bundle():
-    real, real_labels = make_surrogate_records(300, seed=15)
-    synth, synth_labels = make_surrogate_records(300, seed=16)
-    report = se.fidelity_report(
-        real, real_labels, synth, synth_labels, seed=0,
-        detection_kwargs={"epochs": 60},
-    )
-    for score in (report.cstest, report.kstest, report.kstest_extended, report.detection):
-        assert 0.0 <= score <= 1.0
-    row = report.csv_row("wgan")
-    assert row.startswith("wgan,") and len(row.split(",")) == 5
