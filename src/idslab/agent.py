@@ -27,7 +27,6 @@ __all__ = [
     "PolicyNet",
     "PpoConfig",
     "RolloutBuffer",
-    "TrainLog",
     "compute_gae",
     "explained_variance",
     "sample_actions",
@@ -275,33 +274,6 @@ def ppo_update(policy, buffer, config, opt=None, rng=None):
     return means
 
 
-@dataclass
-class TrainLog:
-    """Evaluation and update rows of one training run.
-
-    rows: (timestep, *metrics.scores(cm)), one per evaluation;
-    updates: (timestep, ppo_update stats), one per PPO update.
-    """
-
-    rows: list = field(default_factory=list)
-    updates: list = field(default_factory=list)
-
-    def append(self, timestep, cm):
-        self.rows.append((timestep, *metrics.scores(cm)))
-
-    def to_csv(self, k):
-        lines = ["timestep," + metrics.score_header(k)]
-        for row in self.rows:
-            lines.append(",".join([str(row[0])] + [f"{v:.6f}" for v in row[1:]]))
-        return "\n".join(lines) + "\n"
-
-    def updates_csv(self):
-        lines = ["timestep," + ",".join(UPDATE_STATS)]
-        for timestep, stats in self.updates:
-            lines.append(",".join([str(timestep)] + [f"{stats[k]:.6f}" for k in UPDATE_STATS]))
-        return "\n".join(lines) + "\n"
-
-
 def _collect_rollout(env_, policy, config, rng):
     """One rollout of rollout_length steps as a few whole-array operations."""
     T = config.rollout_length
@@ -322,12 +294,14 @@ def _collect_rollout(env_, policy, config, rng):
 
 
 def train(env_, policy, config, eval_data=None):
-    """Alternate rollouts and PPO updates; returns the TrainLog.
+    """Alternate rollouts and PPO updates; returns (evaluations, updates).
 
-    Evaluation rows need eval_data; update rows are logged either way.
+    evaluations: (timestep, *metrics.scores(cm)) every eval_every timesteps
+    and at the end, if eval_data is given; updates: (timestep, ppo_update
+    stats), one per PPO update.
     """
     with nn.one_blas_thread():  # small matmuls: a second thread only spins
-        log = TrainLog()
+        evaluations, updates = [], []
         opt = nn.OptState.for_net(policy, "adam", config.learning_rate)
         rng = np.random.default_rng(config.seed)
         timesteps = 0
@@ -337,16 +311,12 @@ def train(env_, policy, config, eval_data=None):
             compute_gae(buffer, config.gamma, config.gae_lambda)
             stats = ppo_update(policy, buffer, config, opt=opt, rng=rng)
             timesteps += len(buffer)
-            log.updates.append((timesteps, stats))
-            if eval_data is not None and timesteps >= next_eval:
+            updates.append((timesteps, stats))
+            if eval_data is not None and timesteps >= min(next_eval, config.total_timesteps):
                 cm = evaluate(policy, eval_data, env_.config.mode)
-                log.append(timesteps, cm)
+                evaluations.append((timesteps, *metrics.scores(cm)))
                 next_eval += config.eval_every
-        if eval_data is not None and config.total_timesteps > 0 and (
-            not log.rows or log.rows[-1][0] != timesteps
-        ):
-            log.append(timesteps, evaluate(policy, eval_data, env_.config.mode))
-    return log
+    return evaluations, updates
 
 
 def evaluate(policy, encoded_data, mode):

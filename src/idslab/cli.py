@@ -32,6 +32,7 @@ EXIT_DEPENDENCY = 3
 EXIT_RUNTIME = 4
 
 SOURCES = ("real", "wgan", "wgan-conditional")
+_SYNTHETIC_FILES = {"wgan": "synthetic_wgan.csv", "wgan-conditional": "synthetic_wgan_conditional.csv"}
 
 DEFAULT_CONFIG = {
     "train_path": None,  # defaults to $IDSLAB_DATA_DIR/KDDTrain+.txt
@@ -270,21 +271,19 @@ def stage_gan_sample(config):
     # written before the conditional rows are drawn: one sample set is held at a time
     rows = gan.sample_unconditional(model, config["rows"], seed=config["seed"] + 100)
     gan.export_synthetic([r for r, _ in rows], [label for _, label in rows],
-                         out / "synthetic_wgan.csv")
+                         out / _SYNTHETIC_FILES["wgan"])
     del rows
     n = config["rows_per_class"]
     conditional = ds.Records.concat(
         gan.sample_conditional(model, cls, n, seed=config["seed"] + 200 + cls)
         for cls in range(ds.N_CLASSES))
     gan.export_synthetic(conditional, np.repeat(np.arange(ds.N_CLASSES), n),
-                         out / "synthetic_wgan_conditional.csv")
+                         out / _SYNTHETIC_FILES["wgan-conditional"])
     print(f"gan-sample: {config['rows']} unconditional rows, {len(conditional)} conditional rows")
 
 
 def _load_synthetic(config, source):
-    out = Path(config["out_dir"])
-    name = {"wgan": "synthetic_wgan.csv", "wgan-conditional": "synthetic_wgan_conditional.csv"}[source]
-    path = _require(out / name, "gan-sample")
+    path = _require(Path(config["out_dir"]) / _SYNTHETIC_FILES[source], "gan-sample")
     records = ds.parse_kdd_file(path)
     labels = ds.labels_for(records)
     return records, labels
@@ -292,23 +291,21 @@ def _load_synthetic(config, source):
 
 def stage_gan_eval(config):
     out = _out(config)
-    train_records = ds.parse_kdd_file(
-        _require(config["train_path"], "preprocess (dataset file missing)")
-    )
-    train_labels = ds.labels_for(train_records)
-    # cap the real side for tractable detection-classifier folds
-    train_records, train_labels = _subsample(train_records, train_labels, config["rows"],
-                                             config["seed"])
-    real_table = synth_eval.records_to_table(train_records, train_labels)
+    # the real rows, capped for tractable detection-classifier folds; decoding gives back
+    # the parsed values where each rate spans [0, 1] or is constant, as in NSL-KDD
+    train = _load_encoded(config, "train")
+    matrix, real_labels = _subsample(train.matrix, train.labels, config["rows"], config["seed"])
+    real_records = _load_transformer(config).decode_matrix(matrix)
+    real_table = synth_eval.records_to_table(real_records, real_labels)
     lines = ["dataset,cstest,kstest,kstest_extended,detection"]
-    for source in ("wgan", "wgan-conditional"):
+    for source in _SYNTHETIC_FILES:
         records, labels = _load_synthetic(config, source)
         synth_table = synth_eval.records_to_table(records, labels)
         scores = (
             synth_eval.cs_test(real_table, synth_table),
             synth_eval.ks_test(real_table, synth_table),
             synth_eval.ks_test_extended(real_table, synth_table),
-            synth_eval.detection_score(train_records, records, seed=config["seed"]),
+            synth_eval.detection_score(real_records, records, seed=config["seed"]),
         )
         lines.append(",".join([source] + [f"{s:.4f}" for s in scores]))
     (out / "fidelity.csv").write_text("\n".join(lines) + "\n")
@@ -341,12 +338,17 @@ def stage_drl_train(config):
         trunk_activation=ppo_config.trunk_activation,
         seed=config["seed"],
     )
-    log = agent.train(environment, policy, ppo_config, eval_data=test_data)
+    evaluations, updates = agent.train(environment, policy, ppo_config, eval_data=test_data)
     policy.save(out / f"policy_{_tag(config)}.npz")
     curves = out / "curves"
     curves.mkdir(exist_ok=True)
-    (curves / f"{_tag(config)}.csv").write_text(log.to_csv(environment.action_count))
-    (curves / f"{_tag(config)}_updates.csv").write_text(log.updates_csv())
+    lines = ["timestep," + metrics.score_header(environment.action_count)]
+    lines += [",".join([str(t)] + [f"{v:.6f}" for v in scores]) for t, *scores in evaluations]
+    (curves / f"{_tag(config)}.csv").write_text("\n".join(lines) + "\n")
+    lines = ["timestep," + ",".join(agent.UPDATE_STATS)]
+    lines += [",".join([str(t)] + [f"{stats[k]:.6f}" for k in agent.UPDATE_STATS])
+              for t, stats in updates]
+    (curves / f"{_tag(config)}_updates.csv").write_text("\n".join(lines) + "\n")
     print(f"drl-train: {ppo_config.total_timesteps} timesteps ({_tag(config)})")
 
 
@@ -363,7 +365,7 @@ def stage_drl_eval(config):
 
 
 def _subsample(X, y, cap, seed):
-    """At most `cap` rows of X (a matrix or Records) and y, drawn without replacement."""
+    """At most `cap` rows of the matrix X and of its labels y, drawn without replacement."""
     if cap and len(X) > cap:
         idx = np.random.default_rng(seed).choice(len(X), size=cap, replace=False)
         return X[idx], y[idx]

@@ -356,8 +356,8 @@ class TestTrain:
         policy = agent.PolicyNet(env.observation_dim, 2, seed=0)
         before = [w.copy() for w in policy.trunk.weights]
         cfg = agent.PpoConfig(total_timesteps=0)
-        log = agent.train(env, policy, cfg, eval_data=data)
-        assert log.rows == []
+        evaluations, _ = agent.train(env, policy, cfg, eval_data=data)
+        assert evaluations == []
         assert all(np.array_equal(a, b) for a, b in zip(before, policy.trunk.weights))
 
     def test_deterministic_per_seed(self):
@@ -368,8 +368,8 @@ class TestTrain:
             cfg = agent.PpoConfig(
                 total_timesteps=1024, rollout_length=256, eval_every=512, seed=3
             )
-            log = agent.train(env, policy, cfg, eval_data=data)
-            logs.append((log.rows, [w.copy() for w in policy.trunk.weights]))
+            evaluations, _ = agent.train(env, policy, cfg, eval_data=data)
+            logs.append((evaluations, [w.copy() for w in policy.trunk.weights]))
         assert logs[0][0] == logs[1][0]
         assert all(np.array_equal(a, b) for a, b in zip(logs[0][1], logs[1][1]))
 
@@ -413,9 +413,9 @@ class TestTrain:
             env, data, _ = toy_env(mode="multiclass", n=3000, seed=6)
             assert env.observation_dim == 54
             policy = agent.PolicyNet(env.observation_dim, env.action_count, seed=6)
-            log = agent.train(env, policy, cfg, eval_data=data)
-            updates = [[t, *stats.values()] for t, stats in log.updates]
-            return policy.params, np.array(log.rows, dtype=np.float64), np.array(updates)
+            evaluations, updates = agent.train(env, policy, cfg, eval_data=data)
+            updates = [[t, *stats.values()] for t, stats in updates]
+            return policy.params, np.array(evaluations, dtype=np.float64), np.array(updates)
 
         one = run()
         with monkeypatch.context() as m:
@@ -431,18 +431,12 @@ class TestDiagnostics:
         env, data, _ = toy_env(seed=4)
         policy = agent.PolicyNet(env.observation_dim, 2, seed=4)
         cfg = agent.PpoConfig(total_timesteps=512, rollout_length=256, eval_every=512, seed=4)
-        log = agent.train(env, policy, cfg)
-        assert [t for t, _ in log.updates] == [256, 512]
-        for _, stats in log.updates:
+        _, updates = agent.train(env, policy, cfg)
+        assert [t for t, _ in updates] == [256, 512]
+        for _, stats in updates:
             assert sorted(stats) == sorted(agent.UPDATE_STATS)
             assert all(np.isfinite(v) for v in stats.values())
             assert stats["explained_variance"] <= 1.0
-        lines = log.updates_csv().splitlines()
-        assert lines[0] == (
-            "timestep,loss,policy_loss,value_loss,entropy,clip_fraction,approx_kl,"
-            "explained_variance"
-        )
-        assert len(lines) == 3 and lines[1].startswith("256,")
 
     def test_explained_variance(self):
         returns = np.array([1.0, 2.0, 3.0, 4.0])
@@ -504,14 +498,3 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             agent.evaluate(policy, data, "binary")
 
-
-def test_trainlog_csv_layout():
-    from idslab import metrics
-
-    log = agent.TrainLog()
-    cm = metrics.confusion([0, 1, 1], [0, 1, 0], 2)
-    log.append(100, cm)
-    text = log.to_csv(2)
-    lines = text.strip().split("\n")
-    assert lines[0] == "timestep,accuracy,f1_macro,f1_weighted,f1_class0,f1_class1"
-    assert lines[1].startswith("100,")

@@ -186,16 +186,32 @@ class TestStages:
         row = (out / "row_drl_binary_real.csv").read_text().strip()
         assert row.startswith("real,drl,")
 
-    def test_drl_train_writes_update_log(self, workdir):
+    def test_drl_train_writes_curves(self, workdir):
         assert run(["preprocess"]) == cli.EXIT_OK
         assert run(["drl-train"] + TINY) == cli.EXIT_OK
-        lines = (workdir / "runs" / "default" / "curves" / "binary_real_updates.csv").read_text()
-        lines = lines.strip().splitlines()
-        assert lines[0] == (
+        curves = workdir / "runs" / "default" / "curves"
+        evaluations = (curves / "binary_real.csv").read_text().splitlines()
+        assert evaluations[0] == "timestep,accuracy,f1_macro,f1_weighted,f1_class0,f1_class1"
+        assert [line.split(",")[0] for line in evaluations[1:]] == ["256", "512"]
+        updates = (curves / "binary_real_updates.csv").read_text().splitlines()
+        assert updates[0] == (
             "timestep,loss,policy_loss,value_loss,entropy,clip_fraction,approx_kl,"
             "explained_variance"
         )
-        assert [line.split(",")[0] for line in lines[1:]] == ["128", "256", "384", "512"]
+        assert [line.split(",")[0] for line in updates[1:]] == ["128", "256", "384", "512"]
+
+    def test_gan_eval_reads_artifacts_not_dataset_files(self, workdir, monkeypatch, capsys):
+        assert run(["gan-eval"] + TINY) == cli.EXIT_DEPENDENCY
+        assert "train.npz; run `preprocess` first" in capsys.readouterr().err
+        for stage in ("preprocess", "gan-train", "gan-sample", "gan-eval"):
+            assert run([stage] + TINY) == cli.EXIT_OK
+        fidelity = workdir / "runs" / "default" / "fidelity.csv"
+        expected = fidelity.read_bytes()
+        fidelity.unlink()
+        (workdir / "empty").mkdir()
+        monkeypatch.setenv("IDSLAB_DATA_DIR", str(workdir / "empty"))
+        assert run(["gan-eval"] + TINY) == cli.EXIT_OK
+        assert fidelity.read_bytes() == expected
 
     def test_non_finite_loss_exits_runtime_without_checkpoint(self, workdir):
         assert run(["preprocess"]) == cli.EXIT_OK

@@ -504,17 +504,29 @@ _RECORD = st.tuples(*(_value_strategy(spec) for spec in ds.FEATURE_SCHEMA)).map(
 )
 
 
+def _rate_rows(*rates):
+    """One row per rate, holding it in every non-integer column; the rest constant."""
+    return [ds.RawRecord(values=tuple("a" if spec.kind == ds.CATEGORICAL else
+                                      0.0 if spec.integer else rate for spec in ds.FEATURE_SCHEMA),
+                         attack_name="normal") for rate in rates]
+
+
 @settings(max_examples=100, deadline=None)
 @given(records=st.lists(_RECORD, min_size=1, max_size=12))
+@example(records=_rate_rows(0.0, 0.11, 1 / 3, 0.7, 1.0))  # fitted range exactly [0, 1]
 def test_codec_roundtrip_property(records):
     # decode returns categories exactly, rounds integer features to the
-    # nearest integer and leaves rates as floats of the min-max inverse
+    # nearest integer and leaves rates as floats of the min-max inverse:
+    # the original value itself where the fitted range is [0, 1] or constant
     t = ds.fit_transformer(records)
+    names = [spec.name for spec in t.specs if spec.kind == ds.CONTINUOUS]
+    exact = {name for name, lo, hi in zip(names, t.mins, t.maxs)
+             if (lo, hi) == (0.0, 1.0) or lo == hi}
     for rec in records:
         back = decode_one(t, encode_one(t, rec)).values
         for spec, orig, got in zip(t.specs, rec.values, back):
-            if spec.kind == ds.CATEGORICAL or spec.integer:
-                assert got == orig
+            if spec.kind == ds.CATEGORICAL or spec.integer or spec.name in exact:
+                assert got == orig, spec.name
             else:
                 assert abs(got - orig) < 1e-9
 
