@@ -46,10 +46,10 @@ def _fit_softmax(X, y, k, train, mu, sd, seeds, l2, epochs, lr):
     (X - mu[f]) / sd[f] from init_net seed seeds[f], by full-batch Adam.
 
     The standardization is folded into the matmuls, logits = X (W/sd) +
-    b - (mu/sd) W and dW = (X^T dL - mu (x) sum(dL)) / sd + l2 W, so each
-    epoch is one pass over X for every fold and X is never copied.  Logits
-    are laid out (fold, class, row).  Returns (nets, probs), probs[f, c, r]
-    being fold f's final probability of class c for row r.
+    b - (mu/sd) W and dW = (X^T dL - mu (x) sum(dL)) / sd + l2 W, so each epoch,
+    run on one BLAS thread, is one pass over X for every fold and X is never
+    copied.  Logits, probabilities and dL share one (fold, class, row) array.
+    Returns (nets, probs), probs[f, c, r] being fold f's final P(class c | row r).
     """
     n, d = X.shape
     F = len(seeds)
@@ -58,22 +58,31 @@ def _fit_softmax(X, y, k, train, mu, sd, seeds, l2, epochs, lr):
     W, b = params[:, : d * k].reshape(F, d, k), params[:, d * k :]
     opt = nn.OptState("adam", lr, m=np.zeros_like(params), v=np.zeros_like(params))
     target, n_train = nn.one_hot(y, k).T, train.sum(axis=1)[:, None, None]
+    z, row, grad = np.empty((F, k, n)), np.empty((F, 1, n)), np.empty_like(params)
+    dW, db = grad[:, : d * k].reshape(F, d, k), grad[:, d * k :]
 
-    def predict():
+    def predict(z):  # the softmax probabilities, written into z
         Ws = W / sd[:, :, None]
-        z = (Ws.transpose(0, 2, 1).reshape(F * k, d) @ X.T).reshape(F, k, n)
+        np.matmul(Ws.transpose(0, 2, 1).reshape(F * k, d), X.T, out=z.reshape(F * k, n))
         z += (b - (mu[:, None, :] @ Ws)[:, 0])[:, :, None]
-        return nn.softmax(z, axis=1)
+        z -= np.max(z, axis=1, keepdims=True, out=row)
+        np.exp(z, out=z)
+        z /= np.sum(z, axis=1, keepdims=True, out=row)
+        return z
 
-    for _ in range(epochs):
-        dL = (predict() - target) / n_train * train[:, None, :]  # held-out rows weigh 0
-        db = dL.sum(axis=2)
-        XtdL = (dL.reshape(F * k, n) @ X).reshape(F, k, d).transpose(0, 2, 1)
-        dW = (XtdL - mu[:, :, None] * db[:, None, :]) / sd[:, :, None] + l2 * W
-        nn.update_params(params, np.concatenate([dW.reshape(F, -1), db], axis=1), opt)
-    for net, fitted in zip(nets, params):
-        net.params[...] = fitted
-    return nets, predict()
+    with nn.one_blas_thread():
+        for _ in range(epochs):
+            dL = np.divide(np.subtract(predict(z), target, out=z), n_train, out=z)
+            dL *= train[:, None, :]  # held-out rows weigh 0
+            np.sum(dL, axis=2, out=db)
+            XtdL = (dL.reshape(F * k, n) @ X).reshape(F, k, d).transpose(0, 2, 1)
+            np.subtract(XtdL, mu[:, :, None] * db[:, None, :], out=dW)
+            dW /= sd[:, :, None]
+            dW += l2 * W
+            nn.update_params(params, grad, opt)
+        for net, fitted in zip(nets, params):
+            net.params[...] = fitted
+        return nets, predict(z)
 
 
 def train_logreg(X, y, n_classes=None, l2=1e-4, epochs=300, lr=1e-2, seed=0):
@@ -84,7 +93,11 @@ def train_logreg(X, y, n_classes=None, l2=1e-4, epochs=300, lr=1e-2, seed=0):
     (net,), _ = _fit_softmax(X, y, k, np.ones((1, n), dtype=bool), np.zeros((1, d)),
                              np.ones((1, d)), [seed], l2, epochs, lr)
     W, b = net.weights[0].copy(), net.biases[0].copy()
-    return Classifier(_predict_proba=lambda A: nn.softmax(A @ W + b), net=net)
+
+    def predict_proba(A):
+        with nn.one_blas_thread():
+            return nn.softmax(A @ W + b)
+    return Classifier(_predict_proba=predict_proba, net=net)
 
 
 # --- CART ------------------------------------------------------------------

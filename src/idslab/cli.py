@@ -2,8 +2,9 @@
 
 Every stage is a subcommand writing artifacts into the configured output
 directory; `run-all` chains them.  Outputs are fully determined by (config,
-seed, BLAS thread count: the GAN's and detection's large-K matmuls round by
-it): no timestamps, sorted JSON keys, so reruns give byte-identical bundles.
+seed, BLAS thread count: the GAN critic's large-K weight gradient rounds by
+it; every other matmul runs on one thread): no timestamps, sorted JSON keys,
+so reruns give byte-identical bundles.
 
 Exit codes: 0 success, 2 validation error, 3 missing upstream artifact,
 4 runtime failure.  With IDSLAB_DEBUG=1 a runtime failure also prints its
@@ -130,7 +131,7 @@ def load_config(args):
         config["train_path"] = str(Path(data_dir) / "KDDTrain+.txt")
     if config["test_path"] is None and data_dir:
         config["test_path"] = str(Path(data_dir) / "KDDTest+.txt")
-    validate_config(config)
+    validate_config(config, args.command)
     return config
 
 
@@ -173,7 +174,7 @@ def _env_config(config):
     return _build(ids_env.EnvConfig, config["env"], mode=config["mode"], seed=config["seed"])
 
 
-def validate_config(config):
+def validate_config(config, command):
     problems = []
     unknown_keys = sorted(set(config) - set(DEFAULT_CONFIG))
     if unknown_keys:
@@ -185,7 +186,7 @@ def validate_config(config):
     if not _is_int(config["seed"]) or config["seed"] < 0:
         problems.append(f"seed must be a non-negative integer, got {config['seed']!r}")
     for key in ("train_path", "test_path"):
-        if not config[key]:
+        if command in ("preprocess", "run-all") and not config[key]:  # the dataset readers
             problems.append(f"{key} missing (set it or export IDSLAB_DATA_DIR)")
     for key in ("rows", "rows_per_class"):
         if not _is_int(config[key]) or config[key] <= 0:

@@ -277,9 +277,10 @@ _SAMPLE_ROWS = 2000  # rows per generator forward when sampling
 def _sample(model, condition_ids, rng):
     """One Records per _SAMPLE_ROWS condition ids, each row one hard sample
     under its id, decoded in float64 (the codec's dtype) before the next
-    chunk is generated."""
+    chunk is generated.  The generator runs on one BLAS thread."""
     for start in range(0, len(condition_ids), _SAMPLE_ROWS):
-        vectors = _generate_hard(model, condition_ids[start : start + _SAMPLE_ROWS], rng)
+        with nn.one_blas_thread():
+            vectors = _generate_hard(model, condition_ids[start : start + _SAMPLE_ROWS], rng)
         yield model.transformer.decode_matrix(vectors.astype(np.float64))
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from idslab import baselines, dataset as ds, nn
 
 from conftest import make_surrogate_records, reference_logreg
-from test_nn import assert_same
+from test_nn import assert_same, openblas_setter
 
 
 def separable_blobs(n=400, seed=0, gap=4.0):
@@ -105,6 +105,23 @@ class TestFoldKernel:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits the (10 x 2 000) @ (2 000 x 54) reduction over its threads
+        setter = openblas_setter()
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(2000, 54))
+        y = rng.integers(0, 2, size=2000)
+        train = rng.integers(0, 5, size=2000) != np.arange(5)[:, None]
+        mu, sd = np.zeros((5, 54)), np.ones((5, 54))
+        probs = []
+        for threads in (1, 2):
+            kept = setter(threads)
+            try:
+                probs.append(baselines._fit_softmax(X, y, 2, train, mu, sd, range(5), 1e-4, 3, 1e-2)[1])
+            finally:
+                setter(kept)
+        assert_same(*probs)
 
 
 class TestTree:

@@ -99,6 +99,18 @@ class TestValidation:
         assert not (workdir / "runs").exists()
         assert run(["gan-eval", "--set", "rows=5"]) == cli.EXIT_DEPENDENCY  # past validation
 
+    def test_only_dataset_readers_need_dataset_paths(self, workdir, monkeypatch, capsys):
+        assert run(["run-all"] + TINY) == cli.EXIT_OK
+        monkeypatch.delenv("IDSLAB_DATA_DIR")
+        for command in ("report", "gan-eval"):  # read only out_dir's artifacts
+            assert run([command] + TINY) == cli.EXIT_OK
+        capsys.readouterr()
+        for command in ("preprocess", "run-all"):
+            assert run([command] + TINY) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert "train_path missing (set it or export IDSLAB_DATA_DIR)" in err
+            assert "test_path missing (set it or export IDSLAB_DATA_DIR)" in err
+
     def test_list_accepted_for_tuple_field(self, workdir):
         assert run(["preprocess", "--set", "gan.hidden=[32,32]"]) == cli.EXIT_OK
 

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from conftest import (
     reference_export_text,
     save_old_layout_gan,
 )
+from test_nn import assert_same
 
 
 def surrogate_model(n=300, seed=0, epochs=1, **overrides):
@@ -282,6 +285,33 @@ class TestSampleConditional:
         a = gan.sample_conditional(model, 1, 15, seed=3)
         b = gan.sample_conditional(model, 1, 15, seed=3)
         assert [r.values for r in a] == [r.values for r in b]
+
+
+class TestSampleOneBlasThread:
+    def test_keeps_every_bit(self, monkeypatch):
+        # the desk generator (133 -> 256 -> 256 -> 54) on full _SAMPLE_ROWS chunks
+        records, labels = make_surrogate_records(2000, seed=5)
+        t = ds.fit_transformer(records)
+        data = ds.EncodedDataset(t.encode_matrix(records), labels)
+        model, _ = gan.train_gan(data, t, gan.GanConfig(epochs=0, seed=5))
+        generate = gan._generate_hard
+
+        def run():
+            vectors = []
+            monkeypatch.setattr(gan, "_generate_hard",
+                                lambda *args: vectors.append(generate(*args)) or vectors[-1])
+            cond = gan.sample_conditional(model, 3, gan._SAMPLE_ROWS, seed=5)
+            uncond = gan.sample_unconditional(model, gan._SAMPLE_ROWS, seed=6)
+            return vectors, [r.values for r in cond], [(r.values, c) for r, c in uncond]
+
+        one = run()
+        with monkeypatch.context() as m:
+            m.setattr(nn, "one_blas_thread", contextlib.nullcontext)
+            default = run()
+        assert [v.shape for v in one[0]] == [(gan._SAMPLE_ROWS, t.total_dim)] * 2
+        for a, b in zip(one[0], default[0], strict=True):
+            assert_same(a, b)
+        assert one[1:] == default[1:]
 
 
 class TestExport:

@@ -326,6 +326,15 @@ def special_array(rng, shape, share, specials=SPECIALS):
     return a
 
 
+def openblas_setter():
+    """nn's setter of numpy's bundled OpenBLAS thread count; skips the calling test
+    under any other BLAS, where one_blas_thread is a no-op."""
+    setter = nn._blas_thread_setter()
+    if getattr(setter, "__name__", None) != "openblas_set_num_threads_local":
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS: one_blas_thread is a no-op")
+    return setter
+
+
 def assert_same(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -623,9 +632,7 @@ class TestOneBlasThread:
 
     @pytest.fixture(autouse=True)
     def setter(self):
-        setter = nn._blas_thread_setter()
-        if getattr(setter, "__name__", None) != "openblas_set_num_threads_local":
-            pytest.skip("numpy's BLAS is not its bundled OpenBLAS: one_blas_thread is a no-op")
+        setter = openblas_setter()
         kept = setter(2)  # a count one_blas_thread must give back
         yield setter
         setter(kept)
