@@ -1,10 +1,10 @@
 """Experiment runner: preprocess -> GAN -> DRL/baselines -> reports.
 
-Every stage is a subcommand writing artifacts into the configured output
-directory; `run-all` chains them.  Outputs are fully determined by (config,
-seed, BLAS thread count: the GAN critic's large-K weight gradient rounds by
-it; every other matmul runs on one thread): no timestamps, sorted JSON keys,
-so reruns give byte-identical bundles.
+Every stage is a subcommand writing artifacts into the configured `out_dir`;
+`run-all` runs them in `STAGES` order, drl-train, drl-eval and baselines once
+per source.  Outputs are fully determined by (config, seed, BLAS thread count:
+the GAN critic's large-K weight gradient rounds by it; every other matmul runs
+on one thread): no timestamps, sorted JSON keys, so rerun bundles are identical.
 
 Exit codes: 0 success, 2 validation error, 3 missing upstream artifact,
 4 runtime failure.  With IDSLAB_DEBUG=1 a runtime failure also prints its
@@ -33,6 +33,7 @@ EXIT_DEPENDENCY = 3
 EXIT_RUNTIME = 4
 
 SOURCES = ("real", "wgan", "wgan-conditional")
+_PER_SOURCE = ("drl-train", "drl-eval", "baselines")  # run-all runs these once per source
 _SYNTHETIC_FILES = {"wgan": "synthetic_wgan.csv", "wgan-conditional": "synthetic_wgan_conditional.csv"}
 
 DEFAULT_CONFIG = {
@@ -127,10 +128,9 @@ def load_config(args):
                 )
         node[keys[-1]] = value
     data_dir = os.environ.get("IDSLAB_DATA_DIR")
-    if config["train_path"] is None and data_dir:
-        config["train_path"] = str(Path(data_dir) / "KDDTrain+.txt")
-    if config["test_path"] is None and data_dir:
-        config["test_path"] = str(Path(data_dir) / "KDDTest+.txt")
+    for key, name in (("train_path", "KDDTrain+.txt"), ("test_path", "KDDTest+.txt")):
+        if config[key] is None and data_dir:
+            config[key] = str(Path(data_dir) / name)
     validate_config(config, args.command)
     return config
 
@@ -185,12 +185,20 @@ def validate_config(config, command):
         problems.append(f"source must be one of {SOURCES}, got {config['source']!r}")
     if not _is_int(config["seed"]) or config["seed"] < 0:
         problems.append(f"seed must be a non-negative integer, got {config['seed']!r}")
+    stages = STAGES if command == "run-all" else (command,)
+    if not isinstance(config["out_dir"], str) or not config["out_dir"]:
+        problems.append(f"out_dir must be a non-empty string, got {config['out_dir']!r}")
     for key in ("train_path", "test_path"):
-        if command in ("preprocess", "run-all") and not config[key]:  # the dataset readers
+        if config[key] is not None and not isinstance(config[key], str):
+            problems.append(f"{key} must be a string or null, got {config[key]!r}")
+        elif "preprocess" in stages and not config[key]:
             problems.append(f"{key} missing (set it or export IDSLAB_DATA_DIR)")
     for key in ("rows", "rows_per_class"):
         if not _is_int(config[key]) or config[key] <= 0:
             problems.append(f"{key} must be a positive integer")
+        elif key == "rows" and "gan-eval" in stages and config[key] < synth_eval.DETECTION_FOLDS:
+            problems.append(f"rows must be >= {synth_eval.DETECTION_FOLDS}, gan-eval's "
+                            f"detection folds; got {config[key]}")
     if not _is_int(config["baseline_rows"]) or config["baseline_rows"] < 0:
         problems.append("baseline_rows must be a non-negative integer")
     if not isinstance(config["baselines"], list):
@@ -416,17 +424,12 @@ def stage_report(config):
 
 
 def stage_run_all(config):
-    stage_preprocess(config)
-    stage_gan_train(config)
-    stage_gan_sample(config)
-    stage_gan_eval(config)
-    for source in SOURCES:
-        sub = copy.deepcopy(config)
-        sub["source"] = source
-        stage_drl_train(sub)
-        stage_drl_eval(sub)
-        stage_baselines(sub)
-    stage_report(config)
+    for name, stage in STAGES.items():
+        if name in _PER_SOURCE:
+            for source in SOURCES:
+                stage(config | {"source": source})
+        elif name != "run-all":
+            stage(config)
     manifest = {
         "config": config,
         "seed": config["seed"],
@@ -486,11 +489,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args)
-        if args.command in ("gan-eval", "run-all") and config["rows"] < synth_eval.DETECTION_FOLDS:
-            raise ValidationError(f"rows must be >= {synth_eval.DETECTION_FOLDS}, gan-eval's "
-                                  f"detection folds; got {config['rows']}")
-        STAGES[args.command](config)
+        STAGES[args.command](load_config(args))
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -36,6 +36,11 @@ def run(args):
     return cli.main(args)
 
 
+def _bundle(out):
+    """Every file under `out`, by its path relative to `out`."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 class TestValidation:
     def test_bad_mode(self, workdir):
         assert run(["preprocess", "--set", "mode=nope"]) == cli.EXIT_VALIDATION
@@ -79,10 +84,14 @@ class TestValidation:
             "ppo.entropy_coef=-5.0",
             "seed.x=1",  # descends into a number
             "env.episode_cap.x=3",
+            "out_dir=5",  # would reach Path() inside a stage
+            "out_dir=null",
+            "train_path=5",
         ],
     )
-    def test_bad_value_fails_before_any_stage(self, workdir, override):
+    def test_bad_value_fails_before_any_stage(self, workdir, override, capsys):
         assert run(["preprocess", "--set", override]) == cli.EXIT_VALIDATION
+        assert override.split("=")[0].split(".")[-1] in capsys.readouterr().err  # names the field
         assert not (workdir / "runs").exists()
 
     def test_negative_seed_named_before_any_stage(self, workdir, capsys):
@@ -96,14 +105,19 @@ class TestValidation:
         for command in ("gan-eval", "run-all"):
             assert run([command, "--set", "rows=3"]) == cli.EXIT_VALIDATION
             assert "rows must be >= 5, gan-eval's detection folds" in capsys.readouterr().err
+            # a non-integer gets the type message alone, not a failed comparison with 5
+            assert run([command, "--set", 'rows="abc"']) == cli.EXIT_VALIDATION
+            assert capsys.readouterr().err == (
+                "validation error: rows must be a positive integer\n")
         assert not (workdir / "runs").exists()
         assert run(["gan-eval", "--set", "rows=5"]) == cli.EXIT_DEPENDENCY  # past validation
 
     def test_only_dataset_readers_need_dataset_paths(self, workdir, monkeypatch, capsys):
         assert run(["run-all"] + TINY) == cli.EXIT_OK
         monkeypatch.delenv("IDSLAB_DATA_DIR")
-        for command in ("report", "gan-eval"):  # read only out_dir's artifacts
-            assert run([command] + TINY) == cli.EXIT_OK
+        for command in cli.STAGES:
+            if command not in ("preprocess", "run-all"):  # read only out_dir's artifacts
+                assert run([command] + TINY) == cli.EXIT_OK, command
         capsys.readouterr()
         for command in ("preprocess", "run-all"):
             assert run([command] + TINY) == cli.EXIT_VALIDATION
@@ -299,13 +313,7 @@ class TestRunAll:
             root.mkdir()
             monkeypatch.chdir(root)
             assert run(["run-all"] + TINY) == cli.EXIT_OK
-            out = root / "runs" / "default"
-            bundle = {
-                str(p.relative_to(out)): p.read_bytes()
-                for p in sorted(out.rglob("*"))
-                if p.is_file()
-            }
-            digests.append(bundle)
+            digests.append(_bundle(root / "runs" / "default"))
         assert sorted(digests[0]) == sorted(digests[1])
         for key in digests[0]:
             assert digests[0][key] == digests[1][key], f"artifact differs: {key}"
@@ -331,3 +339,20 @@ class TestRunAll:
             assert len(row) == 5
             for cell in row[1:]:
                 assert re.fullmatch(r"\d\.\d{4}", cell) and 0.0 <= float(cell) <= 1.0, row
+
+    def test_equals_its_stages_run_one_by_one(self, surrogate_data, tmp_path, monkeypatch):
+        data_root, _ = surrogate_data
+        monkeypatch.setenv("IDSLAB_DATA_DIR", str(data_root))
+        args = TINY + ["--set", "mode=multiclass"]
+        assert run(["run-all"] + args + ["--set", f"out_dir={tmp_path / 'all'}"]) == cli.EXIT_OK
+        args += ["--set", f"out_dir={tmp_path / 'stages'}"]
+        for command in cli.STAGES:
+            if command in ("drl-train", "drl-eval", "baselines"):  # once per source
+                for source in cli.SOURCES:
+                    assert run([command] + args + ["--set", f"source={source}"]) == cli.EXIT_OK
+            elif command != "run-all":
+                assert run([command] + args) == cli.EXIT_OK
+        run_all, one_by_one = _bundle(tmp_path / "all"), _bundle(tmp_path / "stages")
+        assert sorted(run_all) == sorted([*one_by_one, "manifest.json"])  # only run-all writes it
+        for key, data in one_by_one.items():
+            assert data == run_all[key], f"artifact differs: {key}"
