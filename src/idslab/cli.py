@@ -179,8 +179,6 @@ def validate_config(config, command):
     unknown_keys = sorted(set(config) - set(DEFAULT_CONFIG))
     if unknown_keys:
         problems.append(f"unknown config keys: {unknown_keys}")
-    if config["mode"] not in ("binary", "multiclass"):
-        problems.append(f"mode must be binary or multiclass, got {config['mode']!r}")
     if config["source"] not in SOURCES:
         problems.append(f"source must be one of {SOURCES}, got {config['source']!r}")
     if not _is_int(config["seed"]) or config["seed"] < 0:
@@ -406,7 +404,8 @@ def stage_baselines(config):
 
 def stage_report(config):
     out = _out(config)
-    header = "dataset,model," + metrics.score_header(5 if config["mode"] == "multiclass" else 2)
+    _, k = ds.task_labels(np.arange(ds.N_CLASSES), config["mode"])
+    header = "dataset,model," + metrics.score_header(k)
     rows = []
     for path in sorted(out.glob(f"row_*_{config['mode']}_*.csv")):
         rows.append(path.read_text().strip())

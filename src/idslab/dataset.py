@@ -293,14 +293,16 @@ def labels_for(records):
 
 
 def task_labels(labels, mode):
-    """Class ids for a task and its class count.
+    """Class ids for a task and its class count; the one definition of the tasks.
 
     Binary collapses Normal -> 0 and any attack -> 1 (k=2); multiclass keeps
-    the five class ids (k=5).
+    the five class ids (k=5).  Any other mode is a ValueError.
     """
     if mode == "binary":
         return (labels != 0).astype(np.int64), 2
-    return labels, N_CLASSES
+    if mode == "multiclass":
+        return labels, N_CLASSES
+    raise ValueError(f"mode must be binary or multiclass, got {mode!r}")
 
 
 @dataclass

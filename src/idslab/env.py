@@ -1,16 +1,17 @@
 """Intrusion-detection episode environment.
 
 States are encoded records drawn uniformly with replacement; actions are
-alerts (binary: alert/no-alert, multiclass: the five class ids).  Rewards
-follow the asymmetric table: correct alert +1, correct silence 0, any
-mistake -1.  Episodes end at the step cap or on a missed attack.
+the task's labels (`dataset.task_labels`).  Rewards follow the asymmetric
+table: correct alert +1, correct silence 0, any mistake -1.  Episodes end
+at the step cap or on a missed attack.
 
 The environment is a contextual bandit: the next record is a fresh draw
 whatever the action was.  So one vector core serves a whole rollout:
 `draw(n)` picks n record indices at once, and `score(indices, actions)`
-looks every reward up in the one 5 x k table built from `reward()` and
-computes the dones with a per-episode step counter that carries over from
-one call to the next, so a rollout may be scored in pieces.
+looks every reward up in the one 5 x k table (`reward_table`, built from
+`dataset.task_labels`; `reward()` reads one cell of it) and computes the
+dones with a per-episode step counter that carries over from one call to
+the next, so a rollout may be scored in pieces.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_CLASSES
+from .dataset import N_CLASSES, task_labels
 
 __all__ = [
     "EnvConfig",
@@ -28,52 +29,37 @@ __all__ = [
     "reward_table",
 ]
 
-BINARY = "binary"
-MULTICLASS = "multiclass"
-
-_ACTION_COUNT = {BINARY: 2, MULTICLASS: 5}
-
 
 @dataclass(frozen=True)
 class EnvConfig:
-    mode: str = BINARY
+    mode: str = "binary"
     episode_cap: int = 1000
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _ACTION_COUNT:
-            raise ValueError(f"unknown mode: {self.mode!r}")
+        task_labels(np.arange(N_CLASSES), self.mode)  # a ValueError for an unknown mode
         if self.episode_cap < 1:
             raise ValueError("episode_cap must be >= 1")
 
 
-def reward(true_class_id, action, mode):
-    """Reward table for one (true class, action) cell.
-
-    Binary actions collapse all attacks to 1; multiclass actions name the
-    attack class.  A wrong attack type scores -1 like a false alarm.
-    """
-    n_actions = _ACTION_COUNT[mode]
-    if not 0 <= action < n_actions:
-        raise ValueError(f"action {action} out of range for {mode}")
-    is_attack = true_class_id != 0
-    if mode == BINARY:
-        if is_attack:
-            return 1 if action == 1 else -1
-        return 0 if action == 0 else -1
-    if is_attack:
-        if action == true_class_id:
-            return 1
-        return -1  # silence on an attack, or the wrong attack type
-    return 0 if action == 0 else -1
-
-
 def reward_table(mode):
-    """reward() for every cell: rows are true class ids, columns actions."""
-    return np.array(
-        [[reward(c, a, mode) for a in range(_ACTION_COUNT[mode])] for c in range(N_CLASSES)],
-        dtype=np.int64,
-    )
+    """Rewards for every cell: rows are true class ids, columns actions.
+
+    An action that names the record's task label scores +1 on an attack and
+    0 on Normal (silence); any other action, a wrong attack type included,
+    scores -1.
+    """
+    labels, k = task_labels(np.arange(N_CLASSES), mode)
+    hit = labels[:, None] == np.arange(k)
+    return np.where(hit, labels[:, None] != 0, -1).astype(np.int64)
+
+
+def reward(true_class_id, action, mode):
+    """The reward_table cell for one (true class, action) pair, as an int."""
+    table = reward_table(mode)
+    if not (0 <= true_class_id < N_CLASSES and 0 <= action < table.shape[1]):
+        raise ValueError(f"class {true_class_id}, action {action} out of range for {mode}")
+    return int(table[true_class_id, action])
 
 
 class IdsEnv:
@@ -94,7 +80,7 @@ class IdsEnv:
 
     @property
     def action_count(self):
-        return _ACTION_COUNT[self.config.mode]
+        return self._rewards.shape[1]
 
     def draw(self, n):
         """n record indices drawn uniformly with replacement."""

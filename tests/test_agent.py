@@ -492,6 +492,13 @@ class TestEvaluate:
         b = agent.evaluate(policy, data, "multiclass")
         assert np.array_equal(a.counts, b.counts)
 
+    def test_unknown_mode_raises(self):
+        # a 2-action policy is not scored against the five classes
+        env, data, _ = toy_env(n=50)
+        policy = agent.PolicyNet(env.observation_dim, 2, seed=4)
+        with pytest.raises(ValueError, match="'Binary'"):
+            agent.evaluate(policy, data, "Binary")
+
     def test_dimension_mismatch(self):
         _, data, _ = toy_env(n=50)
         policy = agent.PolicyNet(7, 2, seed=3)

@@ -45,6 +45,11 @@ class TestValidation:
     def test_bad_mode(self, workdir):
         assert run(["preprocess", "--set", "mode=nope"]) == cli.EXIT_VALIDATION
 
+    def test_bad_mode_reported_once(self, workdir, capsys):
+        assert run(["report", "--set", "mode=null"]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.count("mode") == 1 and ";" not in err, err
+
     def test_bad_source(self, workdir):
         assert run(["drl-train", "--set", "source=ctgan"]) == cli.EXIT_VALIDATION
 

@@ -573,6 +573,11 @@ class TestHistogramAndBinary:
         assert k == 5
         assert y.tolist() == labels.tolist()
 
+    def test_unknown_mode_raises(self):
+        # not silently multiclass
+        with pytest.raises(ValueError, match="'Binary'"):
+            ds.task_labels(np.arange(5), "Binary")
+
 
 class TestEncodedDataset:
     def test_save_load_roundtrip(self, tmp_path):

@@ -74,6 +74,10 @@ class TestRewardTable:
             ids_env.reward(0, 2, "binary")
         with pytest.raises(ValueError):
             ids_env.reward(0, 5, "multiclass")
+        with pytest.raises(ValueError):
+            ids_env.reward(5, 0, "binary")  # no class 5: not an attack
+        with pytest.raises(ValueError):
+            ids_env.reward(-1, 0, "multiclass")  # not U2R's row
 
 
 class TestConfig:
