@@ -2,13 +2,17 @@
 
 Every stage is a subcommand writing artifacts into the configured `out_dir`;
 `run-all` runs them in `STAGES` order, drl-train, drl-eval and baselines once
-per source.  Outputs are fully determined by (config, seed, BLAS thread count:
-the GAN critic's large-K weight gradient rounds by it; every other matmul runs
-on one thread): no timestamps, sorted JSON keys, so rerun bundles are identical.
+per source; gan-eval and the per-source chains run on one process per
+available CPU (forked, each with its own arrays; their console lines may
+interleave).  Outputs are fully determined by (config, seed, BLAS thread
+count: the GAN critic's large-K weight gradient rounds by it; every other
+matmul runs on one thread), not by the worker count: no timestamps, sorted
+JSON keys, so rerun bundles are identical.
 
 Exit codes: 0 success, 2 validation error, 3 missing upstream artifact,
 4 runtime failure.  With IDSLAB_DEBUG=1 a runtime failure also prints its
-traceback to stderr, above the one-line message.
+traceback to stderr (a forked job's, as its child formatted it), above the
+one-line message.
 """
 
 from __future__ import annotations
@@ -203,6 +207,11 @@ def validate_config(config, command):
         problems.append("baselines must be a list")
     elif unknown := [b for b in config["baselines"] if b not in ("logreg", "tree", "mlp")]:
         problems.append(f"unknown baselines: {unknown}")
+    try:
+        ds.task_labels(np.arange(ds.N_CLASSES), config["mode"])
+    except ValueError as exc:  # named once here; the env section is then checked as binary
+        problems.append(str(exc))
+        config = config | {"mode": "binary"}
     # build the stage configs exactly as the stages do, so a bad section
     # fails here instead of after the stages before it have run
     for section, build in (("gan", _gan_config), ("ppo", _ppo_config), ("env", _env_config)):
@@ -368,6 +377,10 @@ def stage_drl_eval(config):
     cm = agent.evaluate(policy, test_data, config["mode"])
     row = metrics.report_row(config["source"], "drl", cm)
     (out / f"row_drl_{_tag(config)}.csv").write_text(row + "\n")
+    share = cm.counts.sum(axis=0) / max(cm.total, 1)  # of the test predictions, per action
+    if share.max() >= 0.99:  # the policy has collapsed onto one action
+        print(f"warning: drl-eval: action {share.argmax()} takes {share.max():.1%} of the "
+              f"test predictions ({_tag(config)})", file=sys.stderr)
     print(f"drl-eval: accuracy {metrics.accuracy(cm):.4f} ({_tag(config)})")
 
 
@@ -422,12 +435,71 @@ def stage_report(config):
     print("report: wrote performance.csv")
 
 
+def _run_jobs(jobs):
+    """Run each job's (stage, config) steps in order; the first failure, or None."""
+    try:
+        for stage, config in (step for job in jobs for step in job):
+            stage(config)
+    except Exception as exc:  # noqa: BLE001 - raised again by _fan_out
+        exc.job_traceback = traceback.format_exc()  # travels with it out of a child
+        return exc
+
+
+def _child(jobs, parent, conn):
+    """A forked worker: runs its jobs and sends back None or the first failure."""
+    import ctypes  # here, not at module load: only a forked worker needs them
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_DFL)  # Ctrl-C: run-all alone reports it
+    if sys.platform == "linux":  # PR_SET_PDEATHSIG (1): killed with run-all
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)
+    if os.getppid() == parent:  # else run-all died before the call above
+        conn.send(_run_jobs(jobs))
+
+
+def _fan_out(jobs):
+    """Job i runs on worker i % n: this process is worker 0, forked children the rest."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    n = min(len(jobs), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    children = []
+    if n > 1:
+        import multiprocessing  # here, not at module load: only run-all forks
+
+        fork = multiprocessing.get_context("fork")
+        for worker in range(1, n):
+            reader, writer = fork.Pipe(duplex=False)
+            child = fork.Process(target=_child, args=(jobs[worker::n], os.getpid(), writer),
+                                 daemon=True)  # terminated when run-all exits early
+            child.start()  # flushes stdout and stderr first, so no line is written twice
+            writer.close()
+            children.append((child, reader))
+    failures = [_run_jobs(jobs[::n])]
+    for child, reader in children:
+        with reader:
+            try:
+                failures.append(reader.recv())
+            except EOFError:  # the child died before it could send
+                child.join()
+                failures.append(RuntimeError(f"run-all worker died, exit code {child.exitcode}"))
+        child.join()
+    if failure := next(filter(None, failures), None):
+        raise failure
+
+
 def stage_run_all(config):
+    jobs = {}  # gan-eval, then one drl-train -> drl-eval -> baselines chain per source
     for name, stage in STAGES.items():
-        if name in _PER_SOURCE:
+        if name == "gan-eval":
+            jobs[name] = [(stage, config)]
+        elif name in _PER_SOURCE:
             for source in SOURCES:
-                stage(config | {"source": source})
+                jobs.setdefault(source, []).append((stage, config | {"source": source}))
         elif name != "run-all":
+            if jobs:  # the next stage reads what they write
+                _fan_out(list(jobs.values()))
+                jobs = {}
             stage(config)
     manifest = {
         "config": config,
@@ -497,7 +569,7 @@ def main(argv=None):
         return EXIT_DEPENDENCY
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         if os.environ.get("IDSLAB_DEBUG") == "1":
-            traceback.print_exc()
+            sys.stderr.write(getattr(exc, "job_traceback", None) or traceback.format_exc())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -1,10 +1,16 @@
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from idslab import cli, dataset as ds, gan
+from idslab import agent, cli, dataset as ds, gan
 
 from conftest import save_old_layout_gan
 
@@ -49,6 +55,16 @@ class TestValidation:
         assert run(["report", "--set", "mode=null"]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err.strip()
         assert err.count("mode") == 1 and ";" not in err, err
+
+    @pytest.mark.parametrize("env, named", [
+        ("env=5", "env: section must be an object, got 5"),
+        ("env.episode_cap=0", "env: episode_cap must be >= 1"),
+    ])
+    def test_bad_mode_named_once_beside_a_bad_env_section(self, workdir, capsys, env, named):
+        assert run(["report", "--set", "mode=null", "--set", env]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "mode must be binary or multiclass, got None" in err and named in err, err
+        assert err.count("mode") == 1, err
 
     def test_bad_source(self, workdir):
         assert run(["drl-train", "--set", "source=ctgan"]) == cli.EXIT_VALIDATION
@@ -287,6 +303,22 @@ class TestStages:
         assert any(line.startswith("FloatingPointError: ") for line in debug)
         assert debug[-1] == plain[0]
 
+    def test_drl_eval_warns_when_one_action_takes_the_test_predictions(self, workdir, capsys):
+        assert run(["preprocess"]) == cli.EXIT_OK
+        assert run(["drl-train"] + TINY) == cli.EXIT_OK
+        path = workdir / "runs" / "default" / "policy_binary_real.npz"
+        policy = agent.PolicyNet.load(path)
+        for w, b in zip(policy.policy_head.weights, policy.policy_head.biases):
+            w[:] = 0.0
+            b[:] = [0.0, 1.0]  # action 1 on every record
+        policy.save(path)
+        capsys.readouterr()
+        assert run(["drl-eval"] + TINY) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: drl-eval: action 1 takes 100.0% of the test predictions (binary_real)\n")
+        assert captured.out.startswith("drl-eval: accuracy ")
+
     def test_baselines_rows(self, workdir):
         assert run(["preprocess"]) == cli.EXIT_OK
         args = TINY + ["--set", 'baselines=["logreg","tree"]']
@@ -361,3 +393,161 @@ class TestRunAll:
         assert sorted(run_all) == sorted([*one_by_one, "manifest.json"])  # only run-all writes it
         for key, data in one_by_one.items():
             assert data == run_all[key], f"artifact differs: {key}"
+
+
+def _fake_stages(monkeypatch, **stages):
+    """Every stage but run-all a no-op, except the ones given."""
+    for name in cli.STAGES:
+        if name != "run-all":
+            monkeypatch.setitem(cli.STAGES, name, stages.get(name, lambda config: None))
+
+
+def _fails_in_the_child(error):
+    """A drl-eval that raises `error` on the real source: job 1 of 4, the forked worker's."""
+    def failing_drl_eval(config):
+        if config["source"] == "real":
+            raise error(f"stage failed in process {os.getpid()}")
+    return failing_drl_eval
+
+
+def _alive(pid):
+    """Whether a process runs under this pid: not gone, not a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestFanOut:
+    @pytest.fixture()
+    def two_cpus(self, workdir, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        return workdir
+
+    def test_bundle_does_not_depend_on_the_worker_count(self, surrogate_data, tmp_path,
+                                                        monkeypatch):
+        data_root, _ = surrogate_data
+        monkeypatch.setenv("IDSLAB_DATA_DIR", str(data_root))
+        bundles = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            root = tmp_path / str(len(cpus))
+            root.mkdir()
+            monkeypatch.chdir(root)
+            assert run(["run-all"] + TINY + ["--set", "mode=multiclass"]) == cli.EXIT_OK
+            bundles.append(_bundle(root / "runs" / "default"))
+        assert sorted(bundles[0]) == sorted(bundles[1])
+        for key, data in bundles[0].items():
+            assert data == bundles[1][key], f"artifact differs: {key}"
+
+    def test_each_stage_line_printed_once(self, two_cpus, monkeypatch, capfd):
+        # block-buffered, as when stdout is a file: a child must not write the parent's lines
+        with open(1, "w", closefd=False) as stdout, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert run(["run-all"] + TINY) == cli.EXIT_OK
+        lines = capfd.readouterr().out.splitlines()
+        assert len(lines) == len(set(lines)), lines
+        assert lines[:3] == ["preprocess: 2000 train / 600 test records",
+                             "gan-train: 40 generator steps",
+                             "gan-sample: 60 unconditional rows, 50 conditional rows"]
+        assert lines[-2:] == ["report: wrote performance.csv", "run-all: wrote manifest.json"]
+        middle = sorted(line.split(":")[0] for line in lines[3:-2])
+        # gan-eval, then per source drl-train, drl-eval and one line per baseline
+        assert middle == sorted(["gan-eval"] + ["drl-train", "drl-eval"] * 3 + ["baselines"] * 9)
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (cli.DependencyError, cli.EXIT_DEPENDENCY, "dependency error: "),
+        (RuntimeError, cli.EXIT_RUNTIME, "error: "),
+    ], ids=["dependency", "runtime"])
+    def test_forked_failure_keeps_exit_code_and_message(self, two_cpus, monkeypatch, capfd,
+                                                         error, code, prefix):
+        reported = []
+        _fake_stages(monkeypatch, report=reported.append,
+                     **{"drl-eval": _fails_in_the_child(error)})
+        monkeypatch.delenv("IDSLAB_DEBUG", raising=False)
+        assert run(["run-all"]) == code
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix + "stage failed in process "), err
+        assert int(err[0].rsplit(" ", 1)[1]) != os.getpid()  # it failed in the forked child
+        assert not reported
+
+    def test_a_worker_that_dies_fails_the_run(self, two_cpus, monkeypatch, capfd):
+        test_process = os.getpid()
+
+        def die_in_the_child(config):
+            if config["source"] == "real":  # job 1 of 4: the forked worker's
+                assert os.getpid() != test_process  # never end the test run itself
+                os._exit(7)
+
+        reported = []
+        _fake_stages(monkeypatch, report=reported.append, **{"drl-eval": die_in_the_child})
+        assert run(["run-all"]) == cli.EXIT_RUNTIME
+        assert capfd.readouterr().err == "error: run-all worker died, exit code 7\n"
+        assert not reported
+
+    def test_debug_prints_the_forked_jobs_traceback(self, two_cpus, monkeypatch, capfd):
+        _fake_stages(monkeypatch, **{"drl-eval": _fails_in_the_child(RuntimeError)})
+        monkeypatch.setenv("IDSLAB_DEBUG", "1")
+        assert run(["run-all"]) == cli.EXIT_RUNTIME
+        err = capfd.readouterr().err.splitlines()
+        assert err[0] == "Traceback (most recent call last):"
+        frame = next(i for i, line in enumerate(err) if line.endswith(", in failing_drl_eval"))
+        assert err[frame + 2].startswith("RuntimeError: stage failed in process ")
+        assert err[-1] == "error: " + err[frame + 2].split(": ", 1)[1]
+        assert len(err) == frame + 4
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the child dies with run-all on Linux")
+    @pytest.mark.parametrize("interrupt", ["sigkill-run-all", "ctrl-c"])
+    def test_no_worker_outlives_run_all(self, tmp_path, interrupt):
+        script = """
+import os, sys, time
+from pathlib import Path
+from idslab import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}
+root = Path(sys.argv[1])
+
+def wait_for_release(config):
+    if config["source"] == "real":  # job 1 of 4: the forked worker's
+        (root / "child.pid.tmp").write_text(str(os.getpid()))
+        (root / "child.pid.tmp").rename(root / "child.pid")
+    deadline = time.monotonic() + 60
+    while not (root / "release").exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+for name in cli.STAGES:
+    if name != "run-all":
+        cli.STAGES[name] = lambda config: None
+cli.STAGES["drl-train"] = wait_for_release
+sys.exit(cli.main(["run-all", "--set", f"out_dir={root / 'out'}",
+                   "--set", "train_path=unused", "--set", "test_path=unused"]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "child.pid").exists():
+                assert proc.poll() is None and time.monotonic() < deadline, "no forked job started"
+                time.sleep(0.01)
+            child = int((tmp_path / "child.pid").read_text())
+            assert child != proc.pid and _alive(child)
+            if interrupt == "ctrl-c":
+                os.killpg(proc.pid, signal.SIGINT)  # the terminal signals the whole group
+            else:
+                proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while _alive(child) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not _alive(child), "the forked worker outlived run-all"
+            err = proc.stderr.read()
+            if interrupt == "ctrl-c":  # one report, run-all's, as without the fan-out
+                assert err.count("Traceback (most recent call last):") == 1, err
+                assert err.endswith("KeyboardInterrupt\n"), err
+        finally:
+            (tmp_path / "release").write_text("")  # lets any survivor end its job
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
