@@ -127,7 +127,7 @@ class PolicyNet:
 
     @classmethod
     def load(cls, path):
-        nets, _ = nn.load_checkpoint(path)
+        nets, _ = nn.load_checkpoint(path, _NET_NAMES)
         policy = object.__new__(cls)
         policy._share([nets[n] for n in _NET_NAMES])
         return policy

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import json
 import math
 import os
+import signal
 import sys
 import traceback
 import typing
@@ -285,13 +287,11 @@ def stage_gan_sample(config):
     out = _out(config)
     model = gan.GanModel.load(_require(out / "gan_model.npz", "gan-train"))
     # written before the conditional rows are drawn: one sample set is held at a time
-    rows = gan.sample_unconditional(model, config["rows"], seed=config["seed"] + 100)
-    gan.export_synthetic([r for r, _ in rows], [label for _, label in rows],
+    gan.export_synthetic(*gan.sample(model, config["rows"], seed=config["seed"] + 100),
                          out / _SYNTHETIC_FILES["wgan"])
-    del rows
     n = config["rows_per_class"]
     conditional = ds.Records.concat(
-        gan.sample_conditional(model, cls, n, seed=config["seed"] + 200 + cls)
+        gan.sample(model, n, seed=config["seed"] + 200 + cls, target_class=cls)[0]
         for cls in range(ds.N_CLASSES))
     gan.export_synthetic(conditional, np.repeat(np.arange(ds.N_CLASSES), n),
                          out / _SYNTHETIC_FILES["wgan-conditional"])
@@ -301,8 +301,7 @@ def stage_gan_sample(config):
 def _load_synthetic(config, source):
     path = _require(Path(config["out_dir"]) / _SYNTHETIC_FILES[source], "gan-sample")
     records = ds.parse_kdd_file(path)
-    labels = ds.labels_for(records)
-    return records, labels
+    return records, ds.labels_for(records)
 
 
 def stage_gan_eval(config):
@@ -447,9 +446,6 @@ def _run_jobs(jobs):
 
 def _child(jobs, parent, conn):
     """A forked worker: runs its jobs and sends back None or the first failure."""
-    import ctypes  # here, not at module load: only a forked worker needs them
-    import signal
-
     signal.signal(signal.SIGINT, signal.SIG_DFL)  # Ctrl-C: run-all alone reports it
     if sys.platform == "linux":  # PR_SET_PDEATHSIG (1): killed with run-all
         prctl = ctypes.CDLL(None).prctl

@@ -14,10 +14,8 @@ one-hot Gumbel-max draw, and the generator's gradient flows through the
 softmax relaxation.  Both networks train with RMSProp; critic weights are
 clipped to +/-weight_clip after every critic step.
 
-Labels are plain class ids.  `sample_conditional` returns columns (a
-Records), `sample_unconditional` (RawRecord, class id) pairs;
-`export_synthetic` takes records and ids apart and writes a block of
-columns at a time, each id as its class symbol.
+`sample` returns columns (a Records) and their int64 class ids;
+`export_synthetic` writes a block of columns at a time, each id as its class symbol.
 
 Both nets train and sample in float32 (`DTYPE`), as WGANs usually are: their
 matmuls, most of training, run about twice as fast as in float64.  Decoded
@@ -26,7 +24,6 @@ rows go back to float64, the codec's dtype.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +36,7 @@ __all__ = [
     "GanConfig",
     "GanModel",
     "train_gan",
+    "sample",
     "sample_unconditional",
     "sample_conditional",
     "export_synthetic",
@@ -70,6 +68,7 @@ class GanConfig:
                 raise ValueError(f"{name} must be positive")
         if not all(type(h) is int and h > 0 for h in self.hidden):
             raise ValueError("hidden must hold positive integer layer sizes")
+        object.__setattr__(self, "hidden", tuple(self.hidden))  # JSON gives lists: (32,) != [32]
 
 
 @dataclass
@@ -84,7 +83,7 @@ class GanModel:
         meta = {
             "transformer": self.transformer.to_json(),
             "class_distribution": self.class_distribution.tolist(),
-            "config": self.config.__dict__ | {"hidden": list(self.config.hidden)},
+            "config": self.config.__dict__,
         }
         nn.save_checkpoint({"generator": self.generator, "critic": self.critic}, path, meta)
 
@@ -92,7 +91,7 @@ class GanModel:
     def load(cls, path):
         """Read a `save` file.  A file whose nets do not fit its transformer's
         record width (the layout with generated label slots) is a ValueError."""
-        nets, meta = nn.load_checkpoint(path)
+        nets, meta = nn.load_checkpoint(path, ("generator", "critic"))
         transformer = Transformer.from_json(meta["transformer"])
         found = (nets["generator"].out_dim, nets["critic"].in_dim)
         expected = (transformer.total_dim, transformer.total_dim + N_CLASSES)
@@ -102,14 +101,12 @@ class GanModel:
                 f"expected {expected[0]} / {expected[1]}; the checkpoint predates the "
                 f"current GAN layout, re-run gan-train"
             )
-        cfg = dict(meta["config"])
-        cfg["hidden"] = tuple(cfg["hidden"])
         return cls(
             generator=nets["generator"],
             critic=nets["critic"],
             transformer=transformer,
             class_distribution=np.array(meta["class_distribution"]),
-            config=GanConfig(**cfg),
+            config=GanConfig(**meta["config"]),
         )
 
 
@@ -274,30 +271,29 @@ def _generate_hard(model, condition_ids, rng):
 _SAMPLE_ROWS = 2000  # rows per generator forward when sampling
 
 
-def _sample(model, condition_ids, rng):
-    """One Records per _SAMPLE_ROWS condition ids, each row one hard sample
-    under its id, decoded in float64 (the codec's dtype) before the next
-    chunk is generated.  The generator runs on one BLAS thread."""
-    for start in range(0, len(condition_ids), _SAMPLE_ROWS):
+def sample(model, n, seed=0, target_class=None):
+    """n rows as (Records, int64 class ids), each generated under its id: target_class,
+    else drawn from the training class shares.  Each _SAMPLE_ROWS chunk is generated on
+    one BLAS thread and decoded in float64 (the codec's dtype) before the next."""
+    rng = np.random.default_rng(seed)
+    ids = (rng.choice(N_CLASSES, size=n, p=model.class_distribution) if target_class is None
+           else np.full(n, target_class, dtype=np.int64))
+    parts = []
+    for start in range(0, n, _SAMPLE_ROWS):
         with nn.one_blas_thread():
-            vectors = _generate_hard(model, condition_ids[start : start + _SAMPLE_ROWS], rng)
-        yield model.transformer.decode_matrix(vectors.astype(np.float64))
+            vectors = _generate_hard(model, ids[start : start + _SAMPLE_ROWS], rng)
+        parts.append(model.transformer.decode_matrix(vectors.astype(np.float64)))
+    return Records.concat(parts), ids
 
 
 def sample_unconditional(model, n, seed=0):
-    """n rows with conditions drawn from the empirical class distribution.
-
-    Returns a list of (RawRecord, class id); the class is the condition.
-    """
-    rng = np.random.default_rng(seed)
-    conditions = rng.choice(N_CLASSES, size=n, p=model.class_distribution)
-    rows = itertools.chain.from_iterable(_sample(model, conditions, rng))
-    return list(zip(rows, conditions.tolist()))
+    """`sample`'s rows as a list of (RawRecord, class id)."""
+    return [(record, int(c)) for record, c in zip(*sample(model, n, seed))]
 
 
 def sample_conditional(model, target_class, n, seed=0):
     """n rows (as Records) generated under the condition target_class, their label."""
-    return Records.concat(_sample(model, np.full(n, target_class), np.random.default_rng(seed)))
+    return sample(model, n, seed, target_class)[0]
 
 
 _EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once

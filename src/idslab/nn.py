@@ -301,12 +301,19 @@ def save_checkpoint(nets, path, meta=None):
     np.savez(path, header=np.frombuffer(header.encode(), dtype=np.uint8), **arrays)
 
 
-def load_checkpoint(path):
-    """Read a save_checkpoint file; returns (nets by name, meta)."""
-    with np.load(path) as z:
+def load_checkpoint(path, names=None):
+    """Read a save_checkpoint file; returns (nets by name, meta).  A file without a
+    header, or (given `names`) without exactly those nets, is a ValueError naming path."""
+    try:  # np.load takes a file that is neither npy nor npz for a pickle: ValueError
+        z = np.load(path)
         header = json.loads(bytes(z["header"]).decode())
+    except (ValueError, EOFError, KeyError, IndexError):  # IndexError: an npy array
+        raise ValueError(f"{path}: not a checkpoint: no header array") from None
+    with z:
         if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {header.get('version')}")
+            raise ValueError(f"{path}: unsupported checkpoint version: {header.get('version')}")
+        if names is not None and sorted(header["nets"]) != sorted(names):
+            raise ValueError(f"{path}: expected nets {sorted(names)}, found {sorted(header['nets'])}")
         nets = {
             name: pack(DenseNet(None, [z[f"{name}_w{i}"] for i in range(len(acts))],
                                 [z[f"{name}_b{i}"] for i in range(len(acts))], acts))

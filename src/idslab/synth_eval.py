@@ -39,7 +39,7 @@ __all__ = [
 
 # Columns treated as categorical for CSTest; everything else (including 0/1
 # indicator features) is scored by KSTest.
-CATEGORICAL_COLUMNS = ("protocol_type", "service", "flag", "class")
+CATEGORICAL_COLUMNS = (*(s.name for s in ds.FEATURE_SCHEMA if s.kind == ds.CATEGORICAL), "class")
 
 MIN_EXPECTED = 5.0  # chi-squared validity rule; rarer categories are pooled
 DETECTION_FOLDS = 5  # folds of the detection score; each side needs as many rows

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idslab import agent, cli, dataset as ds, gan
+from idslab import agent, cli, dataset as ds, gan, nn
 
 from conftest import save_old_layout_gan
 
@@ -283,6 +283,27 @@ class TestStages:
         assert err[0].endswith("re-run gan-train")
         assert not (out / "synthetic_wgan.csv").exists()
 
+    @pytest.mark.parametrize("command, name, write, message", [
+        ("gan-sample", "gan_model.npz", lambda path: agent.PolicyNet(4, 2).save(path),
+         "expected nets ['critic', 'generator'], found ['policy', 'trunk', 'value']"),
+        ("gan-sample", "gan_model.npz",
+         lambda path: ds.EncodedDataset(np.zeros((2, 3)), [0, 1]).save(path),
+         "not a checkpoint: no header array"),
+        ("gan-sample", "gan_model.npz", lambda path: path.write_text("not numpy\n"),
+         "not a checkpoint: no header array"),
+        ("drl-eval", "policy_binary_real.npz",
+         lambda path: nn.save_checkpoint({"generator": nn.init_net([2, 1], ["linear"], 0),
+                                          "critic": nn.init_net([2, 1], ["linear"], 1)}, path),
+         "expected nets ['policy', 'trunk', 'value'], found ['critic', 'generator']"),
+    ], ids=["policy-as-gan", "dataset-as-gan", "junk-as-gan", "gan-as-policy"])
+    def test_wrong_checkpoint_file_is_named(self, workdir, capsys, command, name, write, message):
+        assert run(["preprocess"]) == cli.EXIT_OK
+        path = Path("runs/default") / name
+        write(path)
+        capsys.readouterr()
+        assert run([command] + TINY) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_debug_prints_traceback_of_runtime_failure(self, workdir, monkeypatch, capsys):
         assert run(["preprocess"]) == cli.EXIT_OK
         out = workdir / "runs" / "default"
@@ -417,6 +438,15 @@ def _alive(pid):
     except FileNotFoundError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_import_loads_no_multiprocessing():
+    # only run-all's fan-out needs it: every other command starts without its import cost
+    code = "import sys, idslab.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestFanOut:

@@ -1,9 +1,10 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from idslab import dataset as ds, gan, nn, synth_eval
+from idslab import cli, dataset as ds, gan, nn, synth_eval
 from idslab.dataset import CATEGORICAL, CONTINUOUS, FeatureSpec
 
 from conftest import (
@@ -230,6 +231,71 @@ class TestTrain:
         gaps = [abs(row[1]) for row in history]
         k = 20
         assert np.mean(gaps[-k:]) < np.mean(gaps[:k])
+
+
+def columns(records):
+    """Every column of a Records as a list, comparable with ==."""
+    return [col.tolist() for col in (*records.columns, records.attack_names, records.difficulty)]
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSample:
+    @pytest.mark.parametrize("n", [2001, 8193])  # past _SAMPLE_ROWS, then past _EXPORT_ROWS
+    def test_agrees_with_both_views(self, tmp_path, n):
+        model, _, _ = surrogate_model()
+        records, ids = gan.sample(model, n, seed=4)
+        assert ids.dtype == np.int64 and len(records) == n
+        pairs = gan.sample_unconditional(model, n, seed=4)
+        assert [c for _, c in pairs] == ids.tolist()
+        assert columns(ds.Records.from_rows(r for r, _ in pairs)) == columns(records)
+        gan.export_synthetic(records, ids, tmp_path / "synth.csv")
+        assert (tmp_path / "synth.csv").read_text() == reference_export_text(pairs)
+        conditional, ids = gan.sample(model, n, seed=5, target_class=3)
+        assert ids.tolist() == [3] * n
+        assert columns(gan.sample_conditional(model, 3, n, seed=5)) == columns(conditional)
+
+    def test_stage_writes_what_the_views_export(self, tmp_path):
+        model, _, _ = surrogate_model()
+        model.save(tmp_path / "gan_model.npz")
+        cli.stage_gan_sample({"out_dir": str(tmp_path), "rows": 2001, "rows_per_class": 7,
+                              "seed": 3})
+        pairs = gan.sample_unconditional(model, 2001, seed=103)  # the stage's seed + 100
+        gan.export_synthetic([r for r, _ in pairs], [c for _, c in pairs], tmp_path / "want.csv")
+        assert (tmp_path / "synthetic_wgan.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        conditional = ds.Records.concat(gan.sample_conditional(model, c, 7, seed=203 + c)
+                                        for c in range(ds.N_CLASSES))
+        gan.export_synthetic(conditional, np.repeat(np.arange(ds.N_CLASSES), 7),
+                             tmp_path / "want.csv")
+        assert ((tmp_path / "synthetic_wgan_conditional.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def test_unconditional_export_holds_no_rows(self, tmp_path, monkeypatch):
+        # The stage's path holds the decoded chunks and their concatenation, two copies
+        # of the sampled columns, plus one chunk's decoding and one export block (small
+        # here); (RawRecord, id) pairs, about 40 Python objects a row, take far more.
+        model, _, _ = surrogate_model()
+        monkeypatch.setattr(gan, "_EXPORT_ROWS", 512)
+        n, path = 10_000, tmp_path / "synth.csv"
+        records, ids = gan.sample(model, n, seed=1)
+        bound = 3 * sum(a.nbytes for a in (*records.columns, records.attack_names,
+                                           records.difficulty, ids))
+        del records, ids
+        assert traced_peak(lambda: gan.export_synthetic(*gan.sample(model, n, seed=1), path)) < bound
+
+        def through_rows():
+            pairs = gan.sample_unconditional(model, n, seed=1)
+            gan.export_synthetic([r for r, _ in pairs], [c for _, c in pairs], path)
+
+        assert traced_peak(through_rows) > bound
 
 
 class TestSampleUnconditional:
