@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -38,9 +39,14 @@ EXIT_VALIDATION = 2
 EXIT_DEPENDENCY = 3
 EXIT_RUNTIME = 4
 
-SOURCES = ("real", "wgan", "wgan-conditional")
-_PER_SOURCE = ("drl-train", "drl-eval", "baselines")  # run-all runs these once per source
 _SYNTHETIC_FILES = {"wgan": "synthetic_wgan.csv", "wgan-conditional": "synthetic_wgan_conditional.csv"}
+SOURCES = ("real", *_SYNTHETIC_FILES)
+_PER_SOURCE = ("drl-train", "drl-eval", "baselines")  # run-all runs these once per source
+BASELINES = {  # name -> fit(X, y, class count, seed)
+    "logreg": lambda X, y, k, seed: baselines.train_logreg(X, y, n_classes=k, seed=seed),
+    "tree": lambda X, y, k, seed: baselines.train_tree(X, y),
+    "mlp": lambda X, y, k, seed: baselines.train_mlp(X, y, seed=seed),
+}
 
 DEFAULT_CONFIG = {
     "train_path": None,  # defaults to $IDSLAB_DATA_DIR/KDDTrain+.txt
@@ -51,23 +57,8 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "rows": 20_000,  # unconditional synthetic rows
     "rows_per_class": 2_000,  # conditional synthetic rows per class
-    "gan": {
-        "epochs": 30,
-        "batch_size": 500,
-        "critic_steps": 5,
-        "noise_dim": 128,
-        "weight_clip": 0.01,
-        "learning_rate": 5e-5,
-        "gumbel_temperature": 0.2,
-    },
-    "ppo": {
-        "total_timesteps": 100_000,
-        "eval_every": 10_000,
-        "rollout_length": 2048,
-        "trunk_activation": "relu",
-    },
-    "env": {"episode_cap": 1000},
-    "baselines": ["logreg", "tree", "mlp"],
+    "gan": {}, "ppo": {}, "env": {},  # overrides of the _SECTIONS dataclasses' defaults
+    "baselines": list(BASELINES),
     "baseline_rows": 20_000,  # subsample cap for baseline fits (0 = all rows)
 }
 
@@ -156,28 +147,28 @@ def _has_type(value, kind):
     return isinstance(value, kind)
 
 
-def _build(cls, section, **fixed):
-    """cls(**section, **fixed) once every section value has its field's type."""
+_SECTIONS = {"gan": gan.GanConfig, "ppo": agent.PpoConfig, "env": ids_env.EnvConfig}
+_FIXED = ("seed", "mode")  # top-level keys a section's dataclass takes where it has the field
+
+
+def _section(config, name):
+    """The section's dataclass: its field defaults, then the section's values once each
+    has its field's type, then the fixed top-level keys."""
+    cls, section = _SECTIONS[name], config[name]
     if not isinstance(section, dict):
         raise TypeError(f"section must be an object, got {section!r}")
     types = typing.get_type_hints(cls)
     for key, value in section.items():
         if key in types and not _has_type(value, types[key]):
-            name = "list" if types[key] is tuple else types[key].__name__
-            raise TypeError(f"{key} must be {name}, got {value!r}")
-    return cls(**section, **fixed)
+            kind = "list" if types[key] is tuple else types[key].__name__
+            raise TypeError(f"{key} must be {kind}, got {value!r}")
+    return cls(**section, **{key: config[key] for key in _FIXED if key in types})
 
 
-def _gan_config(config):
-    return _build(gan.GanConfig, config["gan"], seed=config["seed"])
-
-
-def _ppo_config(config):
-    return _build(agent.PpoConfig, config["ppo"], seed=config["seed"])
-
-
-def _env_config(config):
-    return _build(ids_env.EnvConfig, config["env"], mode=config["mode"], seed=config["seed"])
+def _resolved(config):
+    """Every section as its dataclass resolves it, the fixed keys left out."""
+    return {name: {k: v for k, v in dataclasses.asdict(_section(config, name)).items()
+                   if k not in _FIXED} for name in _SECTIONS}
 
 
 def validate_config(config, command):
@@ -207,7 +198,7 @@ def validate_config(config, command):
         problems.append("baseline_rows must be a non-negative integer")
     if not isinstance(config["baselines"], list):
         problems.append("baselines must be a list")
-    elif unknown := [b for b in config["baselines"] if b not in ("logreg", "tree", "mlp")]:
+    elif unknown := [b for b in config["baselines"] if b not in BASELINES]:
         problems.append(f"unknown baselines: {unknown}")
     try:
         ds.task_labels(np.arange(ds.N_CLASSES), config["mode"])
@@ -216,11 +207,11 @@ def validate_config(config, command):
         config = config | {"mode": "binary"}
     # build the stage configs exactly as the stages do, so a bad section
     # fails here instead of after the stages before it have run
-    for section, build in (("gan", _gan_config), ("ppo", _ppo_config), ("env", _env_config)):
+    for name in _SECTIONS:
         try:
-            build(config)
+            _section(config, name)
         except (TypeError, ValueError) as exc:
-            problems.append(f"{section}: {exc}")
+            problems.append(f"{name}: {exc}")
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -275,7 +266,7 @@ def stage_gan_train(config):
     out = _out(config)
     data = _load_encoded(config, "train")
     transformer = _load_transformer(config)
-    model, history = gan.train_gan(data, transformer, _gan_config(config))
+    model, history = gan.train_gan(data, transformer, _section(config, "gan"))
     model.save(out / "gan_model.npz")
     lines = ["step,critic_loss,generator_loss"]
     lines += [f"{s},{c:.6f},{g:.6f}" for s, c, g in history]
@@ -345,8 +336,8 @@ def stage_drl_train(config):
     out = _out(config)
     train_data = _training_set(config)
     test_data = _load_encoded(config, "test")
-    ppo_config = _ppo_config(config)
-    environment = ids_env.IdsEnv(train_data, _env_config(config))
+    ppo_config = _section(config, "ppo")
+    environment = ids_env.IdsEnv(train_data, _section(config, "env"))
     policy = agent.PolicyNet(
         environment.observation_dim,
         environment.action_count,
@@ -400,13 +391,8 @@ def stage_baselines(config):
     X_train, y_train = _subsample(
         train_data.matrix, y_train, config["baseline_rows"], config["seed"]
     )
-    trainers = {
-        "logreg": lambda: baselines.train_logreg(X_train, y_train, n_classes=k, seed=config["seed"]),
-        "tree": lambda: baselines.train_tree(X_train, y_train),
-        "mlp": lambda: baselines.train_mlp(X_train, y_train, seed=config["seed"]),
-    }
     for name in config["baselines"]:
-        clf = trainers[name]()
+        clf = BASELINES[name](X_train, y_train, k, config["seed"])
         pred = clf.predict(test_data.matrix)
         cm = metrics.confusion(pred, y_test, k)
         row = metrics.report_row(config["source"], name, cm)
@@ -498,7 +484,7 @@ def stage_run_all(config):
                 jobs = {}
             stage(config)
     manifest = {
-        "config": config,
+        "config": config | _resolved(config),
         "seed": config["seed"],
         "idslab_version": _version(),
     }
@@ -548,7 +534,8 @@ def build_parser():
         p.add_argument(
             "--paper-scale",
             action="store_true",
-            help="full-scale settings: 100 GAN epochs, 200k/20k rows, 2M timesteps",
+            help="full-scale settings, applied after --config and before --set: "
+                 + json.dumps(PAPER_SCALE),
         )
     return parser
 

@@ -460,6 +460,13 @@ class EncodedDataset:
 
     @classmethod
     def load(cls, path):
-        with np.load(path) as z:
-            return cls(matrix=z["matrix"], labels=z["labels"])
+        """Read a save() file; a ValueError names path and the matrix or labels array missing."""
+        arrays, name = {}, "matrix"
+        try:  # np.load takes a non-numpy file for a pickle (ValueError); an npy array is no
+            with np.load(path) as z:  # context manager (TypeError)
+                for name in ("matrix", "labels"):
+                    arrays[name] = z[name]
+        except (ValueError, EOFError, KeyError, TypeError):
+            raise ValueError(f"{path}: not an encoded dataset: no {name} array") from None
+        return cls(**arrays)
 

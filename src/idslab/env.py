@@ -5,8 +5,11 @@ the task's labels (`dataset.task_labels`).  Rewards follow the asymmetric
 table: correct alert +1, correct silence 0, any mistake -1.  Episodes end
 at the step cap or on a missed attack.
 
-The environment is a contextual bandit: the next record is a fresh draw
-whatever the action was.  So one vector core serves a whole rollout:
+The task is a contextual bandit: the next record is a fresh draw whatever
+the action was, so episodes default to one step.  A longer cap lets an action
+change the future only by ending the episode, and on weak features PPO then
+learns to predict Normal on everything (ROADMAP item 1: surrogate macro F1
+0.53-0.74 at cap 1000, 0.78 at cap 1).  One vector core serves a rollout:
 `draw(n)` picks n record indices at once, and `score(indices, actions)`
 looks every reward up in the one 5 x k table (`reward_table`, built from
 `dataset.task_labels`; `reward()` reads one cell of it) and computes the
@@ -33,7 +36,7 @@ __all__ = [
 @dataclass(frozen=True)
 class EnvConfig:
     mode: str = "binary"
-    episode_cap: int = 1000
+    episode_cap: int = 1
     seed: int = 0
 
     def __post_init__(self):

@@ -47,7 +47,7 @@ DTYPE = np.float32  # of both nets, their inputs and their noise
 
 @dataclass(frozen=True)
 class GanConfig:
-    epochs: int = 100
+    epochs: int = 30
     batch_size: int = 500
     critic_steps: int = 5
     noise_dim: int = 128

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idslab import agent, cli, dataset as ds, gan, nn
+from idslab import agent, cli, dataset as ds, env as ids_env, gan, metrics, nn
 
 from conftest import save_old_layout_gan
 
@@ -146,6 +147,14 @@ class TestValidation:
             assert "train_path missing (set it or export IDSLAB_DATA_DIR)" in err
             assert "test_path missing (set it or export IDSLAB_DATA_DIR)" in err
 
+    def test_sections_default_to_the_stage_dataclasses(self, workdir):
+        assert [cli.DEFAULT_CONFIG[s] for s in ("gan", "ppo", "env")] == [{}, {}, {}]
+        config = cli.load_config(cli.build_parser().parse_args(["report"]))
+        assert cli._section(config, "gan").epochs == 30
+        paper = cli.load_config(cli.build_parser().parse_args(["report", "--paper-scale"]))
+        assert cli._section(paper, "gan").epochs == 100
+        assert cli._section(paper, "ppo").total_timesteps == 2_000_000
+
     def test_list_accepted_for_tuple_field(self, workdir):
         assert run(["preprocess", "--set", "gan.hidden=[32,32]"]) == cli.EXIT_OK
 
@@ -233,6 +242,22 @@ class TestStages:
         row = (out / "row_drl_binary_real.csv").read_text().strip()
         assert row.startswith("real,drl,")
 
+    def test_default_episodes_do_not_collapse_the_policy(self, workdir):
+        # one-step episodes, EnvConfig's default: at episode_cap 1000 every seed here put
+        # at least 99.5 % of the test rows on one action, for a macro F1 of 0.14
+        assert run(["preprocess"]) == cli.EXIT_OK
+        out = workdir / "runs" / "default"
+        test_data = ds.EncodedDataset.load(out / "test.npz")
+        for seed in range(4):
+            args = ["--set", "mode=multiclass", "--set", "ppo.total_timesteps=8192",
+                    "--set", f"seed={seed}"]
+            assert run(["drl-train"] + args) == cli.EXIT_OK
+            policy = agent.PolicyNet.load(out / "policy_multiclass_real.npz")
+            cm = agent.evaluate(policy, test_data, "multiclass")
+            share = cm.counts.sum(axis=0) / cm.total
+            assert share.max() < 0.99, (seed, share)
+            assert metrics.aggregate_f1(cm, "macro") >= 0.5, seed
+
     def test_drl_train_writes_curves(self, workdir):
         assert run(["preprocess"]) == cli.EXIT_OK
         assert run(["drl-train"] + TINY) == cli.EXIT_OK
@@ -295,7 +320,14 @@ class TestStages:
          lambda path: nn.save_checkpoint({"generator": nn.init_net([2, 1], ["linear"], 0),
                                           "critic": nn.init_net([2, 1], ["linear"], 1)}, path),
          "expected nets ['policy', 'trunk', 'value'], found ['critic', 'generator']"),
-    ], ids=["policy-as-gan", "dataset-as-gan", "junk-as-gan", "gan-as-policy"])
+        ("gan-train", "train.npz",
+         lambda path: nn.save_checkpoint({"generator": nn.init_net([2, 1], ["linear"], 0),
+                                          "critic": nn.init_net([2, 1], ["linear"], 1)}, path),
+         "not an encoded dataset: no matrix array"),
+        ("drl-eval", "test.npz", lambda path: path.write_text("not numpy\n"),
+         "not an encoded dataset: no matrix array"),
+    ], ids=["policy-as-gan", "dataset-as-gan", "junk-as-gan", "gan-as-policy", "gan-as-dataset",
+            "junk-as-dataset"])
     def test_wrong_checkpoint_file_is_named(self, workdir, capsys, command, name, write, message):
         assert run(["preprocess"]) == cli.EXIT_OK
         path = Path("runs/default") / name
@@ -397,6 +429,27 @@ class TestRunAll:
             assert len(row) == 5
             for cell in row[1:]:
                 assert re.fullmatch(r"\d\.\d{4}", cell) and 0.0 <= float(cell) <= 1.0, row
+
+    def test_manifest_records_every_resolved_section_field(self, surrogate_data, tmp_path,
+                                                           monkeypatch):
+        data_root, _ = surrogate_data
+        monkeypatch.setenv("IDSLAB_DATA_DIR", str(data_root))
+        monkeypatch.chdir(tmp_path)
+        args = TINY + ["--set", "mode=multiclass", "--set", "ppo.gamma=0.9"]
+        assert run(["run-all"] + args) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "runs" / "default" / "manifest.json").read_text())
+        built = {
+            "gan": gan.GanConfig(epochs=1, batch_size=50, noise_dim=16, hidden=(32, 32),
+                                 critic_steps=1),
+            "ppo": agent.PpoConfig(total_timesteps=512, rollout_length=128, eval_every=256,
+                                   gamma=0.9),
+            "env": ids_env.EnvConfig(mode="multiclass", episode_cap=100),
+        }
+        for section, config in built.items():
+            fields = {k: v for k, v in dataclasses.asdict(config).items()
+                      if k not in ("seed", "mode")}
+            assert manifest["config"][section] == json.loads(json.dumps(fields)), section
+        assert manifest["config"]["ppo"]["gamma"] == 0.9
 
     def test_equals_its_stages_run_one_by_one(self, surrogate_data, tmp_path, monkeypatch):
         data_root, _ = surrogate_data
