@@ -198,7 +198,7 @@ def validate_config(config, command):
         problems.append("baseline_rows must be a non-negative integer")
     if not isinstance(config["baselines"], list):
         problems.append("baselines must be a list")
-    elif unknown := [b for b in config["baselines"] if b not in BASELINES]:
+    elif unknown := [b for b in config["baselines"] if not isinstance(b, str) or b not in BASELINES]:
         problems.append(f"unknown baselines: {unknown}")
     try:
         ds.task_labels(np.arange(ds.N_CLASSES), config["mode"])
@@ -231,12 +231,15 @@ def _require(path, producer):
 # --- stages ----------------------------------------------------------------
 
 def stage_preprocess(config):
+    paths = (config["train_path"], config["test_path"])
+    for path in paths:
+        if not Path(path).exists():
+            raise DependencyError(f"dataset file not found: {path}")
+    train_records, test_records = map(ds.parse_kdd_file, paths)
+    for path, records in zip(paths, (train_records, test_records)):
+        if not len(records):  # checked before anything is written
+            raise ValueError(f"{path}: no records")
     out = _out(config)
-    for key in ("train_path", "test_path"):
-        if not Path(config[key]).exists():
-            raise DependencyError(f"dataset file not found: {config[key]}")
-    train_records = ds.parse_kdd_file(config["train_path"])
-    test_records = ds.parse_kdd_file(config["test_path"])
     train_labels = ds.labels_for(train_records)
     test_labels = ds.labels_for(test_records)
     transformer = ds.fit_transformer(train_records)
@@ -275,18 +278,22 @@ def stage_gan_train(config):
 
 
 def stage_gan_sample(config):
+    """Each file is written chunk by chunk as its rows are drawn, into <name>.partial,
+    renamed when complete: an interrupted run leaves no truncated file under the name."""
     out = _out(config)
     model = gan.GanModel.load(_require(out / "gan_model.npz", "gan-train"))
-    # written before the conditional rows are drawn: one sample set is held at a time
-    gan.export_synthetic(*gan.sample(model, config["rows"], seed=config["seed"] + 100),
-                         out / _SYNTHETIC_FILES["wgan"])
-    n = config["rows_per_class"]
-    conditional = ds.Records.concat(
-        gan.sample(model, n, seed=config["seed"] + 200 + cls, target_class=cls)[0]
-        for cls in range(ds.N_CLASSES))
-    gan.export_synthetic(conditional, np.repeat(np.arange(ds.N_CLASSES), n),
-                         out / _SYNTHETIC_FILES["wgan-conditional"])
-    print(f"gan-sample: {config['rows']} unconditional rows, {len(conditional)} conditional rows")
+    n, seed = config["rows_per_class"], config["seed"]
+    draws = {"wgan": [(config["rows"], seed + 100, None)],
+             "wgan-conditional": [(n, seed + 200 + c, c) for c in range(ds.N_CLASSES)]}
+    for source, samples in draws.items():
+        path = out / _SYNTHETIC_FILES[source]
+        partial = path.with_name(path.name + ".partial")
+        with open(partial, "w", encoding="utf-8") as fh:
+            for args in samples:
+                for records, ids in gan.sample(model, *args):
+                    gan.export_synthetic(records, ids, fh)
+        partial.replace(path)
+    print(f"gan-sample: {config['rows']} unconditional rows, {ds.N_CLASSES * n} conditional rows")
 
 
 def _load_synthetic(config, source):

@@ -14,8 +14,8 @@ one-hot Gumbel-max draw, and the generator's gradient flows through the
 softmax relaxation.  Both networks train with RMSProp; critic weights are
 clipped to +/-weight_clip after every critic step.
 
-`sample` returns columns (a Records) and their int64 class ids;
-`export_synthetic` writes a block of columns at a time, each id as its class symbol.
+`sample` yields chunks of columns (a Records) and their int64 class ids;
+`export_synthetic` writes one such block to an open file, each id as its class symbol.
 
 Both nets train and sample in float32 (`DTYPE`), as WGANs usually are: their
 matmuls, most of training, run about twice as fast as in float64.  Decoded
@@ -272,49 +272,42 @@ _SAMPLE_ROWS = 2000  # rows per generator forward when sampling
 
 
 def sample(model, n, seed=0, target_class=None):
-    """n rows as (Records, int64 class ids), each generated under its id: target_class,
-    else drawn from the training class shares.  Each _SAMPLE_ROWS chunk is generated on
-    one BLAS thread and decoded in float64 (the codec's dtype) before the next."""
+    """Yield n rows as (Records, int64 class ids) chunks of at most _SAMPLE_ROWS rows, each
+    generated under its id: target_class, else drawn from the training class shares.  Each
+    chunk is generated on one BLAS thread and decoded in float64 (the codec's dtype)."""
     rng = np.random.default_rng(seed)
     ids = (rng.choice(N_CLASSES, size=n, p=model.class_distribution) if target_class is None
            else np.full(n, target_class, dtype=np.int64))
-    parts = []
     for start in range(0, n, _SAMPLE_ROWS):
+        chunk_ids = ids[start : start + _SAMPLE_ROWS]
         with nn.one_blas_thread():
-            vectors = _generate_hard(model, ids[start : start + _SAMPLE_ROWS], rng)
-        parts.append(model.transformer.decode_matrix(vectors.astype(np.float64)))
-    return Records.concat(parts), ids
+            vectors = _generate_hard(model, chunk_ids, rng)
+        yield model.transformer.decode_matrix(vectors.astype(np.float64)), chunk_ids
 
 
 def sample_unconditional(model, n, seed=0):
     """`sample`'s rows as a list of (RawRecord, class id)."""
-    return [(record, int(c)) for record, c in zip(*sample(model, n, seed))]
+    return [(record, int(c)) for chunk in sample(model, n, seed) for record, c in zip(*chunk)]
 
 
 def sample_conditional(model, target_class, n, seed=0):
     """n rows (as Records) generated under the condition target_class, their label."""
-    return sample(model, n, seed, target_class)[0]
+    return Records.concat(records for records, _ in sample(model, n, seed, target_class))
 
 
-_EXPORT_ROWS = 8192  # rows formatted per write: bounds the text held at once
-
-
-def export_synthetic(records, labels, path):
-    """Write records (a Records or RawRecord rows) and their class ids as
-    NSL-KDD-format CSV, formatting a block of rows a column at a time.
+def export_synthetic(records, labels, fh):
+    """Write records (a Records or RawRecord rows) and their class ids to the open text
+    file fh as NSL-KDD-format CSV lines, formatted a column at a time.
 
     The constant num_outbound_cmds column is re-inserted as 0 so the file
     has the standard 41 feature columns; the label slot holds the class
     symbol (re-parse maps symbols directly).
     """
     symbols = np.array(CLASS_SYMBOLS, dtype=object)[np.asarray(labels, dtype=np.int64)]
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(records), _EXPORT_ROWS):
-            stop = start + _EXPORT_ROWS
-            # categories as they are, integral floats as str(int(v)), others as f"{v:.6g}"
-            columns = [col.tolist() if col.dtype == object else
-                       [str(int(v)) if v.is_integer() else f"{v:.6g}" for v in col.tolist()]
-                       for col in as_records(records[start:stop]).columns]
-            columns.insert(_F20_RAW_INDEX, ["0"] * len(columns[0]))
-            columns.append(symbols[start:stop].tolist())
-            fh.write("".join(f"{line}\n" for line in map(",".join, zip(*columns))))
+    # categories as they are, integral floats as str(int(v)), others as f"{v:.6g}"
+    columns = [col.tolist() if col.dtype == object else
+               [str(int(v)) if v.is_integer() else f"{v:.6g}" for v in col.tolist()]
+               for col in as_records(records).columns]
+    columns.insert(_F20_RAW_INDEX, ["0"] * len(columns[0]))
+    columns.append(symbols.tolist())
+    fh.write("".join(f"{line}\n" for line in map(",".join, zip(*columns))))

@@ -14,6 +14,7 @@ import pytest
 from idslab import agent, cli, dataset as ds, env as ids_env, gan, metrics, nn
 
 from conftest import save_old_layout_gan
+from paper_surrogate import write_paper_shaped_files
 
 TINY = [
     "--set", "rows=60",
@@ -96,6 +97,8 @@ class TestValidation:
             "rows=abc",
             "bogus=1",
             "baselines=5",
+            "baselines=[[1]]",  # unhashable: used to exit 4 on the name lookup
+            'baselines=[{"a":1}]',
             "ppo.rollout_length=1.5",  # would reach rng.integers(size=...)
             "env.episode_cap=2.5",
             'gan.hidden="x"',
@@ -208,6 +211,17 @@ class TestDependencies:
         )
         assert not (workdir / "runs" / "default" / "transformer.json").exists()
 
+    @pytest.mark.parametrize("which, text", [("test", ""), ("test", "\n \n\n"), ("train", "")],
+                             ids=["empty-test", "blank-test", "empty-train"])
+    def test_data_file_without_records_fails_before_writing(self, workdir, capsys, which, text):
+        # an empty test file used to write a 0-row test.npz, which drl-train read only
+        # after training, at its first evaluation
+        empty = workdir / f"{which}.txt"
+        empty.write_text(text)
+        assert run(["preprocess", "--set", f"{which}_path={empty}"]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {empty}: no records\n"
+        assert not (workdir / "runs").exists()
+
 
 class TestStages:
     def test_preprocess_artifacts(self, workdir):
@@ -242,21 +256,23 @@ class TestStages:
         row = (out / "row_drl_binary_real.csv").read_text().strip()
         assert row.startswith("real,drl,")
 
-    def test_default_episodes_do_not_collapse_the_policy(self, workdir):
-        # one-step episodes, EnvConfig's default: at episode_cap 1000 every seed here put
-        # at least 99.5 % of the test rows on one action, for a macro F1 of 0.14
+    @pytest.mark.parametrize("mode, min_f1", [("multiclass", 0.5), ("binary", 0.9)],
+                             ids=["multiclass", "binary"])
+    def test_default_episodes_do_not_collapse_the_policy(self, workdir, mode, min_f1):
+        # one-step episodes, EnvConfig's default: at episode_cap 1000 every multiclass seed
+        # here put at least 99.5 % of the test rows on one action, for a macro F1 of 0.14
         assert run(["preprocess"]) == cli.EXIT_OK
         out = workdir / "runs" / "default"
         test_data = ds.EncodedDataset.load(out / "test.npz")
         for seed in range(4):
-            args = ["--set", "mode=multiclass", "--set", "ppo.total_timesteps=8192",
+            args = ["--set", f"mode={mode}", "--set", "ppo.total_timesteps=8192",
                     "--set", f"seed={seed}"]
             assert run(["drl-train"] + args) == cli.EXIT_OK
-            policy = agent.PolicyNet.load(out / "policy_multiclass_real.npz")
-            cm = agent.evaluate(policy, test_data, "multiclass")
+            policy = agent.PolicyNet.load(out / f"policy_{mode}_real.npz")
+            cm = agent.evaluate(policy, test_data, mode)
             share = cm.counts.sum(axis=0) / cm.total
             assert share.max() < 0.99, (seed, share)
-            assert metrics.aggregate_f1(cm, "macro") >= 0.5, seed
+            assert metrics.aggregate_f1(cm, "macro") >= min_f1, seed
 
     def test_drl_train_writes_curves(self, workdir):
         assert run(["preprocess"]) == cli.EXIT_OK
@@ -429,6 +445,28 @@ class TestRunAll:
             assert len(row) == 5
             for cell in row[1:]:
                 assert re.fullmatch(r"\d\.\d{4}", cell) and 0.0 <= float(cell) <= 1.0, row
+
+    def test_paper_shaped_corpus_runs_every_stage(self, tmp_path, monkeypatch):
+        # NSL-KDD's shape at 5 %: 70 services, a 3-row U2R class, R2L 0.8 % of train
+        write_paper_shaped_files(tmp_path, scale=0.05, seed=0)
+        monkeypatch.setenv("IDSLAB_DATA_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert run(["run-all"] + TINY + ["--set", "mode=multiclass"]) == cli.EXIT_OK
+        out = tmp_path / "runs" / "default"
+        transformer = ds.Transformer.from_json((out / "transformer.json").read_text())
+        assert [len(spec.categories) for spec in transformer.specs
+                if spec.kind == ds.CATEGORICAL] == [3, 70, 11]
+        assert transformer.total_dim == 121
+        # name -> rows, cells per row, leading name cells; every other cell a score
+        tables = {"fidelity.csv": (2, 5, 1), "performance.csv": (12, 10, 2),
+                  "per_class_f1.csv": (3, 6, 1)}
+        for name, (n_rows, n_cells, n_names) in tables.items():
+            header, *rows = (out / name).read_text().splitlines()
+            assert len(header.split(",")) == n_cells and len(rows) == n_rows, name
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == n_cells, (name, row)
+                assert all(0.0 <= float(cell) <= 1.0 for cell in cells[n_names:]), row
 
     def test_manifest_records_every_resolved_section_field(self, surrogate_data, tmp_path,
                                                            monkeypatch):

@@ -238,6 +238,24 @@ def columns(records):
     return [col.tolist() for col in (*records.columns, records.attack_names, records.difficulty)]
 
 
+def collected(chunks):
+    """`gan.sample`'s chunks as one Records and one id array."""
+    records, ids = zip(*chunks)
+    return ds.Records.concat(records), np.concatenate(ids)
+
+
+def sample_bytes(model, n):
+    """Bytes of the column and id arrays of n sampled rows."""
+    records, ids = collected(gan.sample(model, n, seed=1))
+    return sum(a.nbytes for a in (*records.columns, records.attack_names, records.difficulty, ids))
+
+
+def export(path, records, labels):
+    """`export_synthetic` of one block into a new file at path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        gan.export_synthetic(records, labels, fh)
+
+
 def traced_peak(run):
     """The tracemalloc peak, in bytes, of run()."""
     tracemalloc.start()
@@ -249,17 +267,20 @@ def traced_peak(run):
 
 
 class TestSample:
-    @pytest.mark.parametrize("n", [2001, 8193])  # past _SAMPLE_ROWS, then past _EXPORT_ROWS
+    @pytest.mark.parametrize("n", [2001, 8193])  # past one _SAMPLE_ROWS chunk, then several
     def test_agrees_with_both_views(self, tmp_path, n):
         model, _, _ = surrogate_model()
-        records, ids = gan.sample(model, n, seed=4)
+        chunks = list(gan.sample(model, n, seed=4))
+        records, ids = collected(chunks)
         assert ids.dtype == np.int64 and len(records) == n
         pairs = gan.sample_unconditional(model, n, seed=4)
         assert [c for _, c in pairs] == ids.tolist()
         assert columns(ds.Records.from_rows(r for r, _ in pairs)) == columns(records)
-        gan.export_synthetic(records, ids, tmp_path / "synth.csv")
+        with open(tmp_path / "synth.csv", "w", encoding="utf-8") as fh:
+            for chunk in chunks:  # one block per chunk, as gan-sample writes them
+                gan.export_synthetic(*chunk, fh)
         assert (tmp_path / "synth.csv").read_text() == reference_export_text(pairs)
-        conditional, ids = gan.sample(model, n, seed=5, target_class=3)
+        conditional, ids = collected(gan.sample(model, n, seed=5, target_class=3))
         assert ids.tolist() == [3] * n
         assert columns(gan.sample_conditional(model, 3, n, seed=5)) == columns(conditional)
 
@@ -269,33 +290,71 @@ class TestSample:
         cli.stage_gan_sample({"out_dir": str(tmp_path), "rows": 2001, "rows_per_class": 7,
                               "seed": 3})
         pairs = gan.sample_unconditional(model, 2001, seed=103)  # the stage's seed + 100
-        gan.export_synthetic([r for r, _ in pairs], [c for _, c in pairs], tmp_path / "want.csv")
+        export(tmp_path / "want.csv", [r for r, _ in pairs], [c for _, c in pairs])
         assert (tmp_path / "synthetic_wgan.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         conditional = ds.Records.concat(gan.sample_conditional(model, c, 7, seed=203 + c)
                                         for c in range(ds.N_CLASSES))
-        gan.export_synthetic(conditional, np.repeat(np.arange(ds.N_CLASSES), 7),
-                             tmp_path / "want.csv")
+        export(tmp_path / "want.csv", conditional, np.repeat(np.arange(ds.N_CLASSES), 7))
         assert ((tmp_path / "synthetic_wgan_conditional.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
-    def test_unconditional_export_holds_no_rows(self, tmp_path, monkeypatch):
-        # The stage's path holds the decoded chunks and their concatenation, two copies
-        # of the sampled columns, plus one chunk's decoding and one export block (small
-        # here); (RawRecord, id) pairs, about 40 Python objects a row, take far more.
+    def test_unconditional_export_holds_no_rows(self, tmp_path):
+        # Exporting each chunk as it is drawn holds one chunk's columns, decoding and
+        # text at a time; (RawRecord, id) pairs, about 40 Python objects a row, take far more.
         model, _, _ = surrogate_model()
-        monkeypatch.setattr(gan, "_EXPORT_ROWS", 512)
         n, path = 10_000, tmp_path / "synth.csv"
-        records, ids = gan.sample(model, n, seed=1)
-        bound = 3 * sum(a.nbytes for a in (*records.columns, records.attack_names,
-                                           records.difficulty, ids))
-        del records, ids
-        assert traced_peak(lambda: gan.export_synthetic(*gan.sample(model, n, seed=1), path)) < bound
+        bound = 3 * sample_bytes(model, n)
+
+        def through_chunks():
+            with open(path, "w", encoding="utf-8") as fh:
+                for records, ids in gan.sample(model, n, seed=1):
+                    gan.export_synthetic(records, ids, fh)
+
+        assert traced_peak(through_chunks) < bound
 
         def through_rows():
             pairs = gan.sample_unconditional(model, n, seed=1)
-            gan.export_synthetic([r for r, _ in pairs], [c for _, c in pairs], path)
+            export(path, [r for r, _ in pairs], [c for _, c in pairs])
 
         assert traced_peak(through_rows) > bound
+
+    def test_stage_holds_one_chunk_at_a_time(self, tmp_path):
+        # Both files at rows=10000, rows_per_class=2000: a stage that gathers a file's
+        # rows before it writes them holds them (and their copies) at once.
+        model, _, _ = surrogate_model(n=3000)
+        model.save(tmp_path / "gan_model.npz")
+        bound = 3 * sample_bytes(model, 10_000)
+        config = {"out_dir": str(tmp_path), "rows": 10_000, "rows_per_class": 2_000, "seed": 0}
+        assert traced_peak(lambda: cli.stage_gan_sample(config)) < bound
+
+    def test_interrupted_stage_leaves_no_truncated_file(self, tmp_path, monkeypatch):
+        model, _, _ = surrogate_model()
+        model.save(tmp_path / "gan_model.npz")
+        path = tmp_path / "synthetic_wgan.csv"
+        args = ["gan-sample", "--set", f"out_dir={tmp_path}", "--set", "rows=5000",
+                "--set", "rows_per_class=7"]
+        generate, calls = gan._generate_hard, []
+
+        def third_chunk_fails(model, ids, rng):
+            calls.append(len(ids))
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return generate(model, ids, rng)
+
+        def interrupted():
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(gan, "_generate_hard", third_chunk_fails)
+                assert cli.main(args) == cli.EXIT_RUNTIME
+            assert calls == [2000, 2000, 1000]
+
+        interrupted()
+        assert not path.exists()
+        assert cli.main(args) == cli.EXIT_OK
+        complete = path.read_bytes()
+        assert complete.count(b"\n") == 5000
+        interrupted()
+        assert path.read_bytes() == complete
 
 
 class TestSampleUnconditional:
@@ -385,7 +444,7 @@ class TestExport:
         model, _, _ = surrogate_model()
         rows = gan.sample_unconditional(model, 30, seed=1)
         path = tmp_path / "synth.csv"
-        gan.export_synthetic([r for r, _ in rows], [label for _, label in rows], path)
+        export(path, [r for r, _ in rows], [label for _, label in rows])
         parsed = ds.parse_kdd_file(path)
         assert len(parsed) == 30
         for (orig, label), back in zip(rows, parsed):
@@ -398,16 +457,16 @@ class TestExport:
         model, _, _ = surrogate_model()
         rows = gan.sample_unconditional(model, 25, seed=6)
         path = tmp_path / "synth.csv"
-        gan.export_synthetic([r for r, _ in rows], [label for _, label in rows], path)
+        export(path, [r for r, _ in rows], [label for _, label in rows])
         parsed = ds.parse_kdd_file(path)
         assert ds.labels_for(parsed).tolist() == [label for _, label in rows]
 
     def test_empty_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
-        gan.export_synthetic([], [], path)
+        export(path, [], [])
         assert path.read_text() == ""
 
-    def test_text_matches_reference(self, tmp_path, monkeypatch):
+    def test_text_matches_reference(self, tmp_path):
         model, _, _ = surrogate_model()
         rows = gan.sample_unconditional(model, 40, seed=2)
         for record in gan.sample_conditional(model, 3, 5, seed=1):
@@ -416,9 +475,10 @@ class TestExport:
         for i, v in zip((0, 4, 5, 22, 23, 24), (1e20, -0.0, 0.5, 123456789.0, 1e-7, 2.0**70 + 0.5)):
             values[i] = v
         rows.append((ds.RawRecord(values=tuple(values), attack_name=""), 4))
-        monkeypatch.setattr(gan, "_EXPORT_ROWS", 7)  # several blocks, the last one short
         records, labels = [r for r, _ in rows], [label for _, label in rows]
         for given in (records, ds.Records.from_rows(records)):  # rows, then columns
             path = tmp_path / "synth.csv"
-            gan.export_synthetic(given, labels, path)
+            with open(path, "w", encoding="utf-8") as fh:
+                for start in range(0, len(labels), 7):  # several blocks, the last one short
+                    gan.export_synthetic(given[start : start + 7], labels[start : start + 7], fh)
             assert path.read_text() == reference_export_text(rows)
