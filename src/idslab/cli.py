@@ -1,13 +1,16 @@
 """Experiment runner: preprocess -> GAN -> DRL/baselines -> reports.
 
 Every stage is a subcommand writing artifacts into the configured `out_dir`;
-`run-all` runs them in `STAGES` order, drl-train, drl-eval and baselines once
-per source; gan-eval and the per-source chains run on one process per
-available CPU (forked, each with its own arrays; their console lines may
-interleave).  Outputs are fully determined by (config, seed, BLAS thread
-count: the GAN critic's large-K weight gradient rounds by it; every other
-matmul runs on one thread), not by the worker count: no timestamps, sorted
-JSON keys, so rerun bundles are identical.
+`run-all` runs them all, drl-train, drl-eval and baselines once per source.
+preprocess and gan-train run alone: gan-train is the one stage on every BLAS
+thread, and OpenBLAS splits each GEMM evenly over them, so a job beside it
+slows it about as much as the job takes.  Then each job starts when its inputs
+exist, on forked workers (`_fan_out`; their console lines may interleave):
+gan-sample, then gan-eval beside the synthetic chains, runs beside the other
+sources' chains; report follows them all.  Outputs are fully determined by
+(config, seed, BLAS thread count: the GAN critic's large-K weight gradient
+rounds by it; every other matmul runs on one thread), not by the worker
+count: no timestamps, sorted JSON keys, so rerun bundles are identical.
 
 Exit codes: 0 success, 2 validation error, 3 missing upstream artifact,
 4 runtime failure.  With IDSLAB_DEBUG=1 a runtime failure also prints its
@@ -279,7 +282,7 @@ def stage_gan_train(config):
 
 def stage_gan_sample(config):
     """Each file is written chunk by chunk as its rows are drawn, into <name>.partial,
-    renamed when complete: an interrupted run leaves no truncated file under the name."""
+    renamed when complete and removed on failure: an interrupted run leaves no file."""
     out = _out(config)
     model = gan.GanModel.load(_require(out / "gan_model.npz", "gan-train"))
     n, seed = config["rows_per_class"], config["seed"]
@@ -288,10 +291,14 @@ def stage_gan_sample(config):
     for source, samples in draws.items():
         path = out / _SYNTHETIC_FILES[source]
         partial = path.with_name(path.name + ".partial")
-        with open(partial, "w", encoding="utf-8") as fh:
-            for args in samples:
-                for records, ids in gan.sample(model, *args):
-                    gan.export_synthetic(records, ids, fh)
+        try:
+            with open(partial, "w", encoding="utf-8") as fh:
+                for args in samples:
+                    for records, ids in gan.sample(model, *args):
+                        gan.export_synthetic(records, ids, fh)
+        except BaseException:  # Ctrl-C too: no partial file stays in out_dir
+            partial.unlink(missing_ok=True)
+            raise
         partial.replace(path)
     print(f"gan-sample: {config['rows']} unconditional rows, {ds.N_CLASSES * n} conditional rows")
 
@@ -433,7 +440,8 @@ def _run_jobs(jobs):
         for stage, config in (step for job in jobs for step in job):
             stage(config)
     except Exception as exc:  # noqa: BLE001 - raised again by _fan_out
-        exc.job_traceback = traceback.format_exc()  # travels with it out of a child
+        if not hasattr(exc, "job_traceback"):  # else a nested fan-out's job formatted it
+            exc.job_traceback = traceback.format_exc()  # travels with it out of a child
         return exc
 
 
@@ -449,22 +457,26 @@ def _child(jobs, parent, conn):
 
 
 def _fan_out(jobs):
-    """Job i runs on worker i % n: this process is worker 0, forked children the rest."""
+    """Job i runs on worker min(i, n - 1) of n = min(len(jobs), CPUs), a layout fixed by
+    the job list and the CPU count: list the longest first, each of the first n - 1 has a
+    worker, the last worker runs the rest in order.  Worker 0 is this process, so job 0
+    may fan out again (a forked child is a daemon and may not); the rest are forked."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     n = min(len(jobs), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    shares = [[job] for job in jobs[:n - 1]] + [jobs[n - 1:]]
     children = []
     if n > 1:
         import multiprocessing  # here, not at module load: only run-all forks
 
         fork = multiprocessing.get_context("fork")
-        for worker in range(1, n):
+        for share in shares[1:]:
             reader, writer = fork.Pipe(duplex=False)
-            child = fork.Process(target=_child, args=(jobs[worker::n], os.getpid(), writer),
+            child = fork.Process(target=_child, args=(share, os.getpid(), writer),
                                  daemon=True)  # terminated when run-all exits early
             child.start()  # flushes stdout and stderr first, so no line is written twice
             writer.close()
             children.append((child, reader))
-    failures = [_run_jobs(jobs[::n])]
+    failures = [_run_jobs(shares[0])]
     for child, reader in children:
         with reader:
             try:
@@ -478,18 +490,14 @@ def _fan_out(jobs):
 
 
 def stage_run_all(config):
-    jobs = {}  # gan-eval, then one drl-train -> drl-eval -> baselines chain per source
-    for name, stage in STAGES.items():
-        if name == "gan-eval":
-            jobs[name] = [(stage, config)]
-        elif name in _PER_SOURCE:
-            for source in SOURCES:
-                jobs.setdefault(source, []).append((stage, config | {"source": source}))
-        elif name != "run-all":
-            if jobs:  # the next stage reads what they write
-                _fan_out(list(jobs.values()))
-                jobs = {}
-            stage(config)
+    chains = {source: [(STAGES[name], config | {"source": source}) for name in _PER_SOURCE]
+              for source in SOURCES}  # drl-train -> drl-eval -> baselines
+    STAGES["preprocess"](config)
+    STAGES["gan-train"](config)  # alone: see the module docstring
+    after_sample = [[(STAGES["gan-eval"], config)], *(chains.pop(s) for s in _SYNTHETIC_FILES)]
+    _fan_out([[(STAGES["gan-sample"], config), (lambda c: _fan_out(after_sample), config)],
+              *chains.values()])
+    STAGES["report"](config)
     manifest = {
         "config": config | _resolved(config),
         "seed": config["seed"],

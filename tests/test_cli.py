@@ -514,10 +514,11 @@ def _fake_stages(monkeypatch, **stages):
             monkeypatch.setitem(cli.STAGES, name, stages.get(name, lambda config: None))
 
 
-def _fails_in_the_child(error):
-    """A drl-eval that raises `error` on the real source: job 1 of 4, the forked worker's."""
+def _fails_in_the_child(error, source="real"):
+    """A drl-eval that raises `error` on `source`, whose chain runs in a forked worker at
+    2 CPUs: `real` beside gan-sample, the synthetic ones beside gan-eval."""
     def failing_drl_eval(config):
-        if config["source"] == "real":
+        if config["source"] == source:
             raise error(f"stage failed in process {os.getpid()}")
     return failing_drl_eval
 
@@ -551,16 +552,18 @@ class TestFanOut:
         data_root, _ = surrogate_data
         monkeypatch.setenv("IDSLAB_DATA_DIR", str(data_root))
         bundles = []
-        for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            root = tmp_path / str(len(cpus))
+        # one process; the 2-CPU layout; gan-eval and each synthetic chain on its own worker
+        for n in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n: set(range(n)))
+            root = tmp_path / str(n)
             root.mkdir()
             monkeypatch.chdir(root)
             assert run(["run-all"] + TINY + ["--set", "mode=multiclass"]) == cli.EXIT_OK
             bundles.append(_bundle(root / "runs" / "default"))
-        assert sorted(bundles[0]) == sorted(bundles[1])
-        for key, data in bundles[0].items():
-            assert data == bundles[1][key], f"artifact differs: {key}"
+        for bundle in bundles[1:]:
+            assert sorted(bundle) == sorted(bundles[0])
+            for key, data in bundles[0].items():
+                assert data == bundle[key], f"artifact differs: {key}"
 
     def test_each_stage_line_printed_once(self, two_cpus, monkeypatch, capfd):
         # block-buffered, as when stdout is a file: a child must not write the parent's lines
@@ -569,13 +572,54 @@ class TestFanOut:
             assert run(["run-all"] + TINY) == cli.EXIT_OK
         lines = capfd.readouterr().out.splitlines()
         assert len(lines) == len(set(lines)), lines
-        assert lines[:3] == ["preprocess: 2000 train / 600 test records",
-                             "gan-train: 40 generator steps",
-                             "gan-sample: 60 unconditional rows, 50 conditional rows"]
+        assert lines[:2] == ["preprocess: 2000 train / 600 test records",
+                             "gan-train: 40 generator steps"]
         assert lines[-2:] == ["report: wrote performance.csv", "run-all: wrote manifest.json"]
-        middle = sorted(line.split(":")[0] for line in lines[3:-2])
-        # gan-eval, then per source drl-train, drl-eval and one line per baseline
-        assert middle == sorted(["gan-eval"] + ["drl-train", "drl-eval"] * 3 + ["baselines"] * 9)
+        assert "gan-sample: 60 unconditional rows, 50 conditional rows" in lines
+        middle = sorted(line.split(":")[0] for line in lines[2:-2])
+        # gan-sample and the real chain's lines interleave; then gan-eval, and per source
+        # drl-train, drl-eval and one line per baseline
+        assert middle == sorted(["gan-sample", "gan-eval"] + ["drl-train", "drl-eval"] * 3
+                                + ["baselines"] * 9)
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_each_job_starts_when_its_inputs_exist(self, workdir, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        log, sampled = workdir / "log", workdir / "sampled"
+        log.mkdir()
+        (workdir / "runs" / "default").mkdir(parents=True)  # for manifest.json
+
+        def record(name):  # which process ran the stage, and whether gan-sample had ended
+            def stage(config):
+                tag = f"{name} {config['source']}" if name in cli._PER_SOURCE else name
+                (log / tag).write_text(f"{os.getpid()} {sampled.exists()}")
+            return stage
+
+        def gan_sample(config):  # the real chain must end without it
+            deadline = time.monotonic() + 10
+            while not (log / "baselines real").exists():
+                if time.monotonic() > deadline:
+                    raise RuntimeError("the real chain waited for gan-sample")
+                time.sleep(0.01)
+            sampled.write_text("")  # its last act
+
+        _fake_stages(monkeypatch, **{name: record(name) for name in cli.STAGES}
+                     | {"gan-sample": gan_sample})
+        assert run(["run-all"]) == cli.EXIT_OK
+        ran = {path.name: path.read_text().split() for path in log.iterdir()}
+        assert sorted(ran) == sorted(["gan-eval", "preprocess", "gan-train", "report"]
+                                     + [f"{name} {source}" for name in cli._PER_SOURCE
+                                        for source in cli.SOURCES])
+        pid = {tag: int(p) for tag, (p, _) in ran.items()}
+        chains = {source: {pid[f"{name} {source}"] for name in cli._PER_SOURCE}
+                  for source in cli.SOURCES}
+        assert all(len(pids) == 1 for pids in chains.values())  # a chain runs in one process
+        assert pid["gan-eval"] not in set().union(*chains.values())
+        assert chains["real"].isdisjoint(chains["wgan"] | chains["wgan-conditional"])
+        if cpus > 2:  # no job waits behind one it does not depend on
+            assert chains["wgan"] != chains["wgan-conditional"]
+        after_sample = [tag for tag in ran if tag.split()[-1] in cli._SYNTHETIC_FILES]
+        assert all(ran[tag][1] == "True" for tag in after_sample + ["gan-eval", "report"]), ran
 
     @pytest.mark.parametrize("error, code, prefix", [
         (cli.DependencyError, cli.EXIT_DEPENDENCY, "dependency error: "),
@@ -597,7 +641,7 @@ class TestFanOut:
         test_process = os.getpid()
 
         def die_in_the_child(config):
-            if config["source"] == "real":  # job 1 of 4: the forked worker's
+            if config["source"] == "real":  # its chain runs in a forked worker
                 assert os.getpid() != test_process  # never end the test run itself
                 os._exit(7)
 
@@ -608,15 +652,16 @@ class TestFanOut:
         assert not reported
 
     def test_debug_prints_the_forked_jobs_traceback(self, two_cpus, monkeypatch, capfd):
-        _fake_stages(monkeypatch, **{"drl-eval": _fails_in_the_child(RuntimeError)})
         monkeypatch.setenv("IDSLAB_DEBUG", "1")
-        assert run(["run-all"]) == cli.EXIT_RUNTIME
-        err = capfd.readouterr().err.splitlines()
-        assert err[0] == "Traceback (most recent call last):"
-        frame = next(i for i, line in enumerate(err) if line.endswith(", in failing_drl_eval"))
-        assert err[frame + 2].startswith("RuntimeError: stage failed in process ")
-        assert err[-1] == "error: " + err[frame + 2].split(": ", 1)[1]
-        assert len(err) == frame + 4
+        for source in ("real", "wgan"):  # a worker of the first fan-out; one of the nested one
+            _fake_stages(monkeypatch, **{"drl-eval": _fails_in_the_child(RuntimeError, source)})
+            assert run(["run-all"]) == cli.EXIT_RUNTIME
+            err = capfd.readouterr().err.splitlines()
+            assert err[0] == "Traceback (most recent call last):"
+            frame = next(i for i, line in enumerate(err) if line.endswith(", in failing_drl_eval"))
+            assert err[frame + 2].startswith("RuntimeError: stage failed in process ")
+            assert err[-1] == "error: " + err[frame + 2].split(": ", 1)[1]
+            assert len(err) == frame + 4
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the child dies with run-all on Linux")
     @pytest.mark.parametrize("interrupt", ["sigkill-run-all", "ctrl-c"])
@@ -630,9 +675,9 @@ os.sched_getaffinity = lambda pid: {0, 1}
 root = Path(sys.argv[1])
 
 def wait_for_release(config):
-    if config["source"] == "real":  # job 1 of 4: the forked worker's
-        (root / "child.pid.tmp").write_text(str(os.getpid()))
-        (root / "child.pid.tmp").rename(root / "child.pid")
+    pid = root / (config["source"] + ".pid")
+    pid.with_suffix(".tmp").write_text(str(os.getpid()))
+    pid.with_suffix(".tmp").rename(pid)
     deadline = time.monotonic() + 60
     while not (root / "release").exists() and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -648,21 +693,24 @@ sys.exit(cli.main(["run-all", "--set", f"out_dir={root / 'out'}",
         proc = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
                                 stderr=subprocess.PIPE, text=True, start_new_session=True)
         try:
+            # the real chain's worker, forked beside gan-sample, and the synthetic chains'
+            # worker, forked after it (wgan-conditional waits behind wgan), both started
+            pids = [tmp_path / f"{source}.pid" for source in ("real", "wgan")]
             deadline = time.monotonic() + 60
-            while not (tmp_path / "child.pid").exists():
+            while not all(pid.exists() for pid in pids):
                 assert proc.poll() is None and time.monotonic() < deadline, "no forked job started"
                 time.sleep(0.01)
-            child = int((tmp_path / "child.pid").read_text())
-            assert child != proc.pid and _alive(child)
+            children = [int(pid.read_text()) for pid in pids]
+            assert proc.pid not in children and all(map(_alive, children))
             if interrupt == "ctrl-c":
                 os.killpg(proc.pid, signal.SIGINT)  # the terminal signals the whole group
             else:
                 proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)
             deadline = time.monotonic() + 10
-            while _alive(child) and time.monotonic() < deadline:
+            while any(map(_alive, children)) and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert not _alive(child), "the forked worker outlived run-all"
+            assert not any(map(_alive, children)), "a forked worker outlived run-all"
             err = proc.stderr.read()
             if interrupt == "ctrl-c":  # one report, run-all's, as without the fan-out
                 assert err.count("Traceback (most recent call last):") == 1, err

@@ -347,6 +347,7 @@ class TestSample:
                 m.setattr(gan, "_generate_hard", third_chunk_fails)
                 assert cli.main(args) == cli.EXIT_RUNTIME
             assert calls == [2000, 2000, 1000]
+            assert not list(tmp_path.glob("*.partial"))
 
         interrupted()
         assert not path.exists()
