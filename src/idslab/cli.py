@@ -2,15 +2,12 @@
 
 Every stage is a subcommand writing artifacts into the configured `out_dir`;
 `run-all` runs them all, drl-train, drl-eval and baselines once per source.
-preprocess and gan-train run alone: gan-train is the one stage on every BLAS
-thread, and OpenBLAS splits each GEMM evenly over them, so a job beside it
-slows it about as much as the job takes.  Then each job starts when its inputs
-exist, on forked workers (`_fan_out`; their console lines may interleave):
-gan-sample, then gan-eval beside the synthetic chains, runs beside the other
-sources' chains; report follows them all.  Outputs are fully determined by
-(config, seed, BLAS thread count: the GAN critic's large-K weight gradient
-rounds by it; every other matmul runs on one thread), not by the worker
-count: no timestamps, sorted JSON keys, so rerun bundles are identical.
+After preprocess each job starts when its inputs exist, on forked workers
+(`_fan_out`; their console lines may interleave): gan-train, gan-sample, then
+gan-eval beside the synthetic chains, runs beside the other sources' chains;
+report follows them all.  Outputs are fully determined by (config, seed), not
+by the worker count: no timestamps, sorted JSON keys, so rerun bundles are
+identical.
 
 Exit codes: 0 success, 2 validation error, 3 missing upstream artifact,
 4 runtime failure.  With IDSLAB_DEBUG=1 a runtime failure also prints its
@@ -427,9 +424,10 @@ def stage_report(config):
     # Table VII layout: per-class F1 for DRL rows, multiclass only
     if config["mode"] == "multiclass":
         lines = ["dataset," + ",".join(ds.CLASS_NAMES)]
-        for path in sorted(out.glob("row_drl_multiclass_*.csv")):
-            cells = path.read_text().strip().split(",")
-            lines.append(",".join([cells[0]] + cells[5:10]))
+        for cells in (dict(zip(header.split(","), row.split(","))) for row in rows):
+            if cells["model"] == "drl":
+                f1 = [v for name, v in cells.items() if name.startswith("f1_class")]
+                lines.append(",".join([cells["dataset"], *f1]))
         (out / "per_class_f1.csv").write_text("\n".join(lines) + "\n")
     print("report: wrote performance.csv")
 
@@ -448,6 +446,7 @@ def _run_jobs(jobs):
 def _child(jobs, parent, conn):
     """A forked worker: runs its jobs and sends back None or the first failure."""
     signal.signal(signal.SIGINT, signal.SIG_DFL)  # Ctrl-C: run-all alone reports it
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})  # blocked by _fan_out
     if sys.platform == "linux":  # PR_SET_PDEATHSIG (1): killed with run-all
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
@@ -473,7 +472,12 @@ def _fan_out(jobs):
             reader, writer = fork.Pipe(duplex=False)
             child = fork.Process(target=_child, args=(share, os.getpid(), writer),
                                  daemon=True)  # terminated when run-all exits early
-            child.start()  # flushes stdout and stderr first, so no line is written twice
+            # SIGINT waits until the child has reset its handler: no traceback of its own
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                child.start()  # flushes stdout and stderr first, so no line is written twice
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             writer.close()
             children.append((child, reader))
     failures = [_run_jobs(shares[0])]
@@ -493,10 +497,9 @@ def stage_run_all(config):
     chains = {source: [(STAGES[name], config | {"source": source}) for name in _PER_SOURCE]
               for source in SOURCES}  # drl-train -> drl-eval -> baselines
     STAGES["preprocess"](config)
-    STAGES["gan-train"](config)  # alone: see the module docstring
     after_sample = [[(STAGES["gan-eval"], config)], *(chains.pop(s) for s in _SYNTHETIC_FILES)]
-    _fan_out([[(STAGES["gan-sample"], config), (lambda c: _fan_out(after_sample), config)],
-              *chains.values()])
+    _fan_out([[(STAGES["gan-train"], config), (STAGES["gan-sample"], config),
+               (lambda c: _fan_out(after_sample), config)], *chains.values()])
     STAGES["report"](config)
     manifest = {
         "config": config | _resolved(config),

@@ -232,32 +232,33 @@ def train_gan(data, transformer, config):
     history = []
     steps_per_epoch = max(1, len(data) // m)
     step = 0
-    for _ in range(config.epochs):
-        for _ in range(steps_per_epoch):
-            # training-by-sampling: one condition class per minibatch
-            c = int(rng.integers(0, N_CLASSES))
-            gen_x[:, nd:] = crit_x[:, d:] = nn.one_hot(c, N_CLASSES, DTYPE)
-            critic_loss = 0.0
-            for _ in range(config.critic_steps):
-                idx = rng.choice(class_rows[c], size=m, replace=True)
-                _generate(model, gen_x, rng, crit_x[:m, :d], gen_buf)
-                np.take(real, idx, axis=0, out=crit_x[m:, :d])
-                critic_loss = _critic_loss_and_grads(crit, crit_x, crit_grad, crit_buf, scratch)
-                _check_finite("critic", critic_loss, step)
-                nn.update_params(crit.params, crit_grad.params, crit_opt)
-                np.clip(crit.params, -config.weight_clip, config.weight_clip, out=crit.params)
-            # generator step: minimize -mean(critic(fake))
-            _, gen_tape, cache = _generate(model, gen_x, rng, crit_x[:m, :d], gen_buf)
-            score, tape = nn.forward(crit, crit_x[:m], crit_buf)
-            gen_loss = float(-score.mean())
-            _check_finite("generator", gen_loss, step)
-            grad_in = nn.backward(crit, tape, np.full((m, 1), -1.0 / m), scratch=scratch)
-            grad_fake = grad_in[:, :d]  # condition slots carry no gradient
-            grad_raw = _output_backward(grad_fake, cache, config.gumbel_temperature)
-            nn.backward(gen, gen_tape, grad_raw, gen_grad, inputs=False, scratch=scratch)
-            nn.update_params(gen.params, gen_grad.params, gen_opt)
-            history.append((step, critic_loss, gen_loss))
-            step += 1
+    with nn.one_blas_thread():  # else the critic's large-K dW rounds by the thread count
+        for _ in range(config.epochs):
+            for _ in range(steps_per_epoch):
+                # training-by-sampling: one condition class per minibatch
+                c = int(rng.integers(0, N_CLASSES))
+                gen_x[:, nd:] = crit_x[:, d:] = nn.one_hot(c, N_CLASSES, DTYPE)
+                critic_loss = 0.0
+                for _ in range(config.critic_steps):
+                    idx = rng.choice(class_rows[c], size=m, replace=True)
+                    _generate(model, gen_x, rng, crit_x[:m, :d], gen_buf)
+                    np.take(real, idx, axis=0, out=crit_x[m:, :d])
+                    critic_loss = _critic_loss_and_grads(crit, crit_x, crit_grad, crit_buf, scratch)
+                    _check_finite("critic", critic_loss, step)
+                    nn.update_params(crit.params, crit_grad.params, crit_opt)
+                    np.clip(crit.params, -config.weight_clip, config.weight_clip, out=crit.params)
+                # generator step: minimize -mean(critic(fake))
+                _, gen_tape, cache = _generate(model, gen_x, rng, crit_x[:m, :d], gen_buf)
+                score, tape = nn.forward(crit, crit_x[:m], crit_buf)
+                gen_loss = float(-score.mean())
+                _check_finite("generator", gen_loss, step)
+                grad_in = nn.backward(crit, tape, np.full((m, 1), -1.0 / m), scratch=scratch)
+                grad_fake = grad_in[:, :d]  # condition slots carry no gradient
+                grad_raw = _output_backward(grad_fake, cache, config.gumbel_temperature)
+                nn.backward(gen, gen_tape, grad_raw, gen_grad, inputs=False, scratch=scratch)
+                nn.update_params(gen.params, gen_grad.params, gen_opt)
+                history.append((step, critic_loss, gen_loss))
+                step += 1
     return model, history
 
 

@@ -436,7 +436,13 @@ class TestRunAll:
         perf = (out / "performance.csv").read_text().strip().splitlines()
         # 3 sources x (drl + 3 baselines) result rows
         assert len(perf) == 1 + 12
-        assert (out / "per_class_f1.csv").exists()
+        # per_class_f1.csv: the f1_class* columns of performance.csv's drl rows
+        header, *rows = (line.split(",") for line in perf)
+        f1 = [i for i, name in enumerate(header) if name.startswith("f1_class")]
+        drl = [",".join([row[0], *(row[i] for i in f1)]) for row in rows if row[1] == "drl"]
+        assert len(f1) == ds.N_CLASSES and len(drl) == len(cli.SOURCES)
+        assert (out / "per_class_f1.csv").read_text().splitlines() == [
+            "dataset," + ",".join(ds.CLASS_NAMES), *drl]
         fidelity = (out / "fidelity.csv").read_text().splitlines()
         assert fidelity[0] == "dataset,cstest,kstest,kstest_extended,detection"
         rows = [line.split(",") for line in fidelity[1:]]
@@ -516,7 +522,7 @@ def _fake_stages(monkeypatch, **stages):
 
 def _fails_in_the_child(error, source="real"):
     """A drl-eval that raises `error` on `source`, whose chain runs in a forked worker at
-    2 CPUs: `real` beside gan-sample, the synthetic ones beside gan-eval."""
+    2 CPUs: `real` beside gan-train and gan-sample, the synthetic ones beside gan-eval."""
     def failing_drl_eval(config):
         if config["source"] == source:
             raise error(f"stage failed in process {os.getpid()}")
@@ -572,15 +578,15 @@ class TestFanOut:
             assert run(["run-all"] + TINY) == cli.EXIT_OK
         lines = capfd.readouterr().out.splitlines()
         assert len(lines) == len(set(lines)), lines
-        assert lines[:2] == ["preprocess: 2000 train / 600 test records",
-                             "gan-train: 40 generator steps"]
+        assert lines[0] == "preprocess: 2000 train / 600 test records"
         assert lines[-2:] == ["report: wrote performance.csv", "run-all: wrote manifest.json"]
-        assert "gan-sample: 60 unconditional rows, 50 conditional rows" in lines
-        middle = sorted(line.split(":")[0] for line in lines[2:-2])
-        # gan-sample and the real chain's lines interleave; then gan-eval, and per source
-        # drl-train, drl-eval and one line per baseline
-        assert middle == sorted(["gan-sample", "gan-eval"] + ["drl-train", "drl-eval"] * 3
-                                + ["baselines"] * 9)
+        assert (lines.index("gan-train: 40 generator steps")
+                < lines.index("gan-sample: 60 unconditional rows, 50 conditional rows"))
+        middle = sorted(line.split(":")[0] for line in lines[1:-2])
+        # gan-train and gan-sample interleave with the real chain's lines; then gan-eval,
+        # and per source drl-train, drl-eval and one line per baseline
+        assert middle == sorted(["gan-train", "gan-sample", "gan-eval"]
+                                + ["drl-train", "drl-eval"] * 3 + ["baselines"] * 9)
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_each_job_starts_when_its_inputs_exist(self, workdir, monkeypatch, cpus):
@@ -595,22 +601,32 @@ class TestFanOut:
                 (log / tag).write_text(f"{os.getpid()} {sampled.exists()}")
             return stage
 
-        def gan_sample(config):  # the real chain must end without it
+        def wait_for(tag, stage):  # the real chain must reach `tag` without the GAN stages
             deadline = time.monotonic() + 10
-            while not (log / "baselines real").exists():
+            while not (log / tag).exists():
                 if time.monotonic() > deadline:
-                    raise RuntimeError("the real chain waited for gan-sample")
+                    raise RuntimeError(f"the real chain waited for {stage}")
                 time.sleep(0.01)
+
+        def gan_train(config):
+            wait_for("drl-train real", "gan-train")
+            record("gan-train")(config)
+
+        def gan_sample(config):
+            wait_for("baselines real", "gan-sample")
+            record("gan-sample")(config)
             sampled.write_text("")  # its last act
 
         _fake_stages(monkeypatch, **{name: record(name) for name in cli.STAGES}
-                     | {"gan-sample": gan_sample})
+                     | {"gan-train": gan_train, "gan-sample": gan_sample})
         assert run(["run-all"]) == cli.EXIT_OK
         ran = {path.name: path.read_text().split() for path in log.iterdir()}
-        assert sorted(ran) == sorted(["gan-eval", "preprocess", "gan-train", "report"]
+        assert sorted(ran) == sorted(["gan-eval", "preprocess", "gan-train", "gan-sample",
+                                      "report"]
                                      + [f"{name} {source}" for name in cli._PER_SOURCE
                                         for source in cli.SOURCES])
         pid = {tag: int(p) for tag, (p, _) in ran.items()}
+        assert pid["gan-train"] == pid["gan-sample"]  # one job: gan-sample reads its model
         chains = {source: {pid[f"{name} {source}"] for name in cli._PER_SOURCE}
                   for source in cli.SOURCES}
         assert all(len(pids) == 1 for pids in chains.values())  # a chain runs in one process
@@ -636,6 +652,25 @@ class TestFanOut:
         assert len(err) == 1 and err[0].startswith(prefix + "stage failed in process "), err
         assert int(err[0].rsplit(" ", 1)[1]) != os.getpid()  # it failed in the forked child
         assert not reported
+
+    def test_sigint_waits_until_the_child_resets_its_handler(self, two_cpus, monkeypatch):
+        masks = two_cpus / "masks"
+        masks.mkdir()
+        (two_cpus / "runs" / "default").mkdir(parents=True)  # for manifest.json
+        child = cli._child
+
+        def recording_child(jobs, parent, conn):  # a Ctrl-C let in here raises in the child
+            entry = signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+            child(jobs, parent, conn)
+            after = signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+            (masks / str(os.getpid())).write_text(f"{entry} {after}")
+
+        monkeypatch.setattr(cli, "_child", recording_child)
+        _fake_stages(monkeypatch)
+        assert run(["run-all"]) == cli.EXIT_OK
+        # the real chain's worker and the nested fan-out's: blocked on entry, not after
+        assert [path.read_text() for path in masks.iterdir()] == ["True False"] * 2
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, set())
 
     def test_a_worker_that_dies_fails_the_run(self, two_cpus, monkeypatch, capfd):
         test_process = os.getpid()
@@ -693,8 +728,8 @@ sys.exit(cli.main(["run-all", "--set", f"out_dir={root / 'out'}",
         proc = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
                                 stderr=subprocess.PIPE, text=True, start_new_session=True)
         try:
-            # the real chain's worker, forked beside gan-sample, and the synthetic chains'
-            # worker, forked after it (wgan-conditional waits behind wgan), both started
+            # the real chain's worker, forked beside gan-train, and the synthetic chains'
+            # worker, forked after gan-sample (wgan-conditional waits behind wgan), both started
             pids = [tmp_path / f"{source}.pid" for source in ("real", "wgan")]
             deadline = time.monotonic() + 60
             while not all(pid.exists() for pid in pids):

@@ -1,4 +1,5 @@
 import contextlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (
     reference_export_text,
     save_old_layout_gan,
 )
-from test_nn import assert_same
+from test_nn import assert_same, openblas_setter
 
 
 def surrogate_model(n=300, seed=0, epochs=1, **overrides):
@@ -117,6 +118,26 @@ class TestTrain:
         for net_a, net_b in ((a[0].generator, b[0].generator), (a[0].critic, b[0].critic)):
             assert all(np.array_equal(x, y) for x, y in zip(net_a.weights, net_b.weights))
             assert all(np.array_equal(x, y) for x, y in zip(net_a.biases, net_b.biases))
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # at batch 500 OpenBLAS splits the critic's (256 x 1000) @ (1000 x 256) dW over threads
+        setter = openblas_setter()
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one CPU: no second BLAS thread to compare with")
+        records, labels = make_surrogate_records(2000, seed=5)
+        t = ds.fit_transformer(records)
+        data = ds.EncodedDataset(t.encode_matrix(records), labels)
+        config = gan.GanConfig(epochs=1, batch_size=500, hidden=(256, 256), seed=5)
+        runs = []
+        for threads in (2, 1):
+            kept = setter(threads)
+            try:
+                model, history = gan.train_gan(data, t, config)
+            finally:
+                setter(kept)
+            runs.append((model.generator.params.tobytes(), model.critic.params.tobytes(), history))
+        assert len(runs[0][2]) == 4  # 2 000 rows at batch 500
+        assert runs[0] == runs[1]
 
     def test_missing_class_rejected(self):
         records, labels = make_surrogate_records(200, seed=0)
